@@ -11,7 +11,8 @@
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
 #include "core/text_format.hpp"
-#include "core/threaded_runtime.hpp"
+#include "core/job_instance.hpp"
+#include "core/worker_pool.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/flight_recorder.hpp"
 
@@ -86,7 +87,7 @@ void spin_for_ns(std::int64_t ns) {
   while (obs::monotonic_ns() < deadline) benchmark::DoNotOptimize(deadline);
 }
 
-void install_spin_computes(core::ThreadedRuntime& runtime, const core::ExecutablePlan& plan) {
+void install_spin_computes(core::JobInstance& runtime, const core::ExecutablePlan& plan) {
   const df::Graph& graph = plan.vts.graph;
   for (df::ActorId a = 0; a < static_cast<df::ActorId>(graph.actor_count()); ++a) {
     const std::int64_t spin_ns = graph.actor(a).exec_cycles * kNsPerCycle;
@@ -105,9 +106,10 @@ void install_spin_computes(core::ThreadedRuntime& runtime, const core::Executabl
 void BM_ThreadedPipeline(benchmark::State& state) {
   const core::ExecutablePlan& plan = pipeline_plan();
   for (auto _ : state) {
-    core::ThreadedRuntime runtime(plan);
+    core::JobInstance runtime(plan);
+    core::WorkerPool pool(runtime.proc_count());
     install_spin_computes(runtime, plan);
-    runtime.run(kRunIterations);
+    runtime.run(pool, kRunIterations);
     benchmark::DoNotOptimize(runtime.stats().messages);
   }
   state.SetItemsProcessed(state.iterations() * kRunIterations);
@@ -123,10 +125,11 @@ void BM_ThreadedPipelineRecorded(benchmark::State& state) {
   obs::FlightRecorder recorder(static_cast<std::int32_t>(plan.proc_count));
   std::vector<obs::FlightEvent> drained;
   for (auto _ : state) {
-    core::ThreadedRuntime runtime(plan);
+    core::JobInstance runtime(plan);
+    core::WorkerPool pool(runtime.proc_count());
     install_spin_computes(runtime, plan);
     runtime.set_flight_recorder(&recorder);
-    runtime.run(kRunIterations);
+    runtime.run(pool, kRunIterations);
     benchmark::DoNotOptimize(recorder.dropped_total());
     state.PauseTiming();
     const obs::FlightLog log = recorder.collect();  // keep the rings from overflowing
@@ -142,10 +145,11 @@ BENCHMARK(BM_ThreadedPipelineRecorded)->Unit(benchmark::kMillisecond)->MinTime(0
 /// recorded iteration count).
 void BM_AnalyzeCriticalPath(benchmark::State& state) {
   const core::ExecutablePlan& plan = pipeline_plan();
-  core::ThreadedRuntime runtime(plan);
+  core::JobInstance runtime(plan);
+  core::WorkerPool pool(runtime.proc_count());
   obs::FlightRecorder recorder(static_cast<std::int32_t>(plan.proc_count));
   runtime.set_flight_recorder(&recorder);
-  runtime.run(state.range(0));
+  runtime.run(pool, state.range(0));
   const obs::FlightLog log = recorder.collect();
   for (auto _ : state) {
     const obs::CriticalPathReport report = obs::analyze_critical_path(log);

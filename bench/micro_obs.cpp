@@ -17,7 +17,8 @@
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
 #include "core/text_format.hpp"
-#include "core/threaded_runtime.hpp"
+#include "core/job_instance.hpp"
+#include "core/worker_pool.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs_server.hpp"
@@ -69,8 +70,9 @@ BENCHMARK(BM_HeartbeatStore);
 void BM_ObsSnapshot(benchmark::State& state) {
   const core::ExecutablePlan& plan = pipeline_plan();
   obs::MetricRegistry registry;
-  core::ThreadedRuntime runtime(plan, core::ChannelPolicy::kAuto, {}, &registry);
-  runtime.run(8);  // populate counters, gauges and watermarks
+  core::JobInstance runtime(plan, {core::ChannelPolicy::kAuto, {}, &registry, {}});
+  core::WorkerPool pool(runtime.proc_count());
+  runtime.run(pool, 8);  // populate counters, gauges and watermarks
 
   obs::ObsServer::Options options;
   options.registry = &registry;
@@ -100,7 +102,7 @@ void spin_for_ns(std::int64_t ns) {
   while (obs::monotonic_ns() < deadline) benchmark::DoNotOptimize(deadline);
 }
 
-void install_spin_computes(core::ThreadedRuntime& runtime, const core::ExecutablePlan& plan) {
+void install_spin_computes(core::JobInstance& runtime, const core::ExecutablePlan& plan) {
   const df::Graph& graph = plan.vts.graph;
   for (df::ActorId a = 0; a < static_cast<df::ActorId>(graph.actor_count()); ++a) {
     const std::int64_t spin_ns = graph.actor(a).exec_cycles * kNsPerCycle;
@@ -119,9 +121,10 @@ void install_spin_computes(core::ThreadedRuntime& runtime, const core::Executabl
 void BM_ThreadedRunBare(benchmark::State& state) {
   const core::ExecutablePlan& plan = pipeline_plan();
   for (auto _ : state) {
-    core::ThreadedRuntime runtime(plan);
+    core::JobInstance runtime(plan);
+    core::WorkerPool pool(runtime.proc_count());
     install_spin_computes(runtime, plan);
-    runtime.run(kRunIterations);
+    runtime.run(pool, kRunIterations);
     benchmark::DoNotOptimize(runtime.stats().messages);
   }
   state.SetItemsProcessed(state.iterations() * kRunIterations);
@@ -136,14 +139,15 @@ void BM_ThreadedRunWatched(benchmark::State& state) {
   const core::ExecutablePlan& plan = pipeline_plan();
   obs::MetricRegistry registry;
   for (auto _ : state) {
-    core::ThreadedRuntime runtime(plan, core::ChannelPolicy::kAuto, {}, &registry);
+    core::JobInstance runtime(plan, {core::ChannelPolicy::kAuto, {}, &registry, {}});
+    core::WorkerPool pool(runtime.proc_count());
     install_spin_computes(runtime, plan);
     core::RunOptions options;
     options.iterations = kRunIterations;
     options.obs_port = 0;
     options.watchdog.enabled = true;
     options.watchdog.window_ms = 10'000;  // never fires; the sampling runs
-    runtime.run(options);
+    runtime.run(pool, options);
     benchmark::DoNotOptimize(runtime.stats().messages);
   }
   state.SetItemsProcessed(state.iterations() * kRunIterations);

@@ -1,11 +1,10 @@
 /// \file micro_spi.cpp
 /// google-benchmark microbenchmarks of the SPI library primitives (host
 /// wall-clock): wire-format encode/decode (static, dynamic, delimited),
-/// VTS packing, channel send/receive, and the functional runtime loop.
+/// VTS packing, and one colocated JobInstance iteration.
 #include <benchmark/benchmark.h>
 
-#include "core/channel.hpp"
-#include "core/functional.hpp"
+#include "core/job_instance.hpp"
 #include "core/message.hpp"
 #include "core/packing.hpp"
 #include "dsp/rng.hpp"
@@ -61,24 +60,10 @@ void BM_PackUnpack(benchmark::State& state) {
 }
 BENCHMARK(BM_PackUnpack)->Arg(8)->Arg(64)->Arg(512);
 
-void BM_ChannelSendReceive(benchmark::State& state) {
-  core::ChannelConfig config;
-  config.edge = 1;
-  config.mode = core::SpiMode::kDynamic;
-  config.protocol = sched::SyncProtocol::kUbs;
-  config.payload_bound_bytes = 4096;
-  core::SpiChannel channel(config);
-  const Bytes payload = random_payload(static_cast<std::size_t>(state.range(0)), 6);
-  for (auto _ : state) {
-    channel.send(payload);
-    benchmark::DoNotOptimize(channel.receive());
-  }
-}
-BENCHMARK(BM_ChannelSendReceive)->Arg(64)->Arg(1024);
-
-void BM_FunctionalIteration(benchmark::State& state) {
-  // A 3-actor pipeline over 3 processors, measuring end-to-end runtime
-  // cost per graph iteration (headers + packing + routing).
+void BM_ColocatedIteration(benchmark::State& state) {
+  // A 3-actor pipeline over 3 processors walked on one thread, measuring
+  // the host engine's cost per graph iteration (channels + routing +
+  // output checks).
   df::Graph g("bench");
   const df::ActorId a = g.add_actor("A");
   const df::ActorId b = g.add_actor("B");
@@ -89,7 +74,7 @@ void BM_FunctionalIteration(benchmark::State& state) {
   assignment.assign(b, 1);
   assignment.assign(c, 2);
   const core::SpiSystem system(g, assignment);
-  core::FunctionalRuntime runtime(system);
+  core::JobInstance runtime(system.plan());
   const Bytes packed = random_payload(64 * 8, 7);
   runtime.set_compute(a, [&](core::FiringContext& ctx) {
     ctx.outputs[ctx.output_index(e1)] = {packed};
@@ -97,9 +82,9 @@ void BM_FunctionalIteration(benchmark::State& state) {
   runtime.set_compute(b, [&](core::FiringContext& ctx) {
     ctx.outputs[ctx.output_index(e2)] = {Bytes(8, 1)};
   });
-  for (auto _ : state) runtime.run(1);
+  for (auto _ : state) runtime.run_colocated(1);
 }
-BENCHMARK(BM_FunctionalIteration);
+BENCHMARK(BM_ColocatedIteration);
 
 }  // namespace
 

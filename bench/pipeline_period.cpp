@@ -27,7 +27,8 @@
 
 #include "apps/particle_app.hpp"
 #include "apps/speech_app.hpp"
-#include "core/threaded_runtime.hpp"
+#include "core/job_instance.hpp"
+#include "core/worker_pool.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/flight_recorder.hpp"
 
@@ -52,7 +53,8 @@ struct PeriodSample {
 /// and measures the realized steady-state period.
 PeriodSample run_once(const core::ExecutablePlan& plan, std::int64_t cycle_ns,
                       std::int64_t iterations, std::int64_t max_inflight) {
-  core::ThreadedRuntime runtime(plan);
+  core::JobInstance runtime(plan);
+  core::WorkerPool pool(runtime.proc_count());
   const df::Graph& graph = plan.vts.graph;
   for (df::ActorId a = 0; a < static_cast<df::ActorId>(graph.actor_count()); ++a) {
     const std::int64_t wcet_ns = graph.actor(a).exec_cycles * cycle_ns;
@@ -72,7 +74,7 @@ PeriodSample run_once(const core::ExecutablePlan& plan, std::int64_t cycle_ns,
   core::RunOptions options;
   options.iterations = iterations;
   options.max_inflight_iterations = max_inflight;
-  runtime.run(options);
+  runtime.run(pool, options);
 
   obs::AnalyzeOptions analyze;
   analyze.predicted_mcm = plan.predicted_mcm();

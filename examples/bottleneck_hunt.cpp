@@ -19,7 +19,8 @@
 
 #include "core/pipeline.hpp"
 #include "core/text_format.hpp"
-#include "core/threaded_runtime.hpp"
+#include "core/job_instance.hpp"
+#include "core/worker_pool.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -57,7 +58,8 @@ int main() {
   // Real-thread run: every actor sleeps its modeled WCET at 1 cycle ->
   // 1 us, so the realized period has a hard floor at the predicted MCM
   // and the attribution is legible.
-  core::ThreadedRuntime runtime(plan);
+  core::JobInstance runtime(plan);
+  core::WorkerPool pool(runtime.proc_count());
   const df::Graph& graph = plan.vts.graph;
   for (df::ActorId a = 0; a < static_cast<df::ActorId>(graph.actor_count()); ++a) {
     const std::int64_t wcet_us = graph.actor(a).exec_cycles;
@@ -73,7 +75,7 @@ int main() {
 
   obs::FlightRecorder recorder(static_cast<std::int32_t>(plan.proc_count));
   runtime.set_flight_recorder(&recorder);  // actor/edge names come from the plan
-  runtime.run(kIterations);
+  runtime.run(pool, kIterations);
   const obs::FlightLog log = recorder.collect();
   std::printf("recorded %zu events on %d processors (%lld dropped)\n\n", log.events.size(),
               log.proc_count, static_cast<long long>(log.dropped));

@@ -1,8 +1,8 @@
 /// \file metrics_export.cpp
 /// The unified observability layer end to end (docs/observability.md):
-/// one MetricRegistry shared by the compile pipeline and the threaded
-/// runtime, a wall-clock trace of the real-thread execution, and both
-/// exporter formats.
+/// one MetricRegistry shared by the compile pipeline and a gang run of
+/// the plan, a flight-recorder trace of the real-thread execution, and
+/// both exporter formats.
 ///
 /// Output: the Prometheus text exposition of everything recorded, a
 /// JSON snippet, a per-iteration latency histogram summary, and the
@@ -11,9 +11,11 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/threaded_runtime.hpp"
+#include "core/job_instance.hpp"
+#include "core/worker_pool.hpp"
+#include "obs/critical_path.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/runtime_trace.hpp"
 
 int main() {
   using namespace spi;
@@ -37,23 +39,24 @@ int main() {
   const core::SpiSystem system(g, assignment, options);
 
   // Run on real threads with the same registry: per-channel message,
-  // byte and block counters land beside the compile metrics. A
-  // wall-clock recorder captures every firing for Perfetto.
-  core::ThreadedRuntime runtime(system, &registry);
-  obs::RuntimeTraceRecorder trace;
-  runtime.set_trace(&trace);
+  // byte and block counters land beside the compile metrics. A flight
+  // recorder captures every firing for Perfetto.
+  core::JobInstance runtime(system.plan(), {core::ChannelPolicy::kAuto, {}, &registry, {}});
+  core::WorkerPool pool(runtime.proc_count());
+  obs::FlightRecorder flight(static_cast<std::int32_t>(runtime.proc_count()));
+  runtime.set_flight_recorder(&flight);
 
   // Per-iteration sink-side latency histogram (microsecond buckets).
   obs::Histogram& latency = registry.histogram(
       "demo_iteration_micros", obs::Histogram::exponential_bounds(1.0, 2.0, 12), {},
       "Wall-clock microseconds between consecutive sink firings");
-  std::int64_t last_us = trace.now_us();
+  std::int64_t last_us = obs::monotonic_ns() / 1000;
   runtime.set_compute(snk, [&](core::FiringContext&) {
-    const std::int64_t now = trace.now_us();
+    const std::int64_t now = obs::monotonic_ns() / 1000;
     latency.observe(static_cast<double>(now - last_us));
     last_us = now;
   });
-  runtime.run(kIterations);
+  runtime.run(pool, kIterations);
 
   std::printf("=== Prometheus text exposition ===\n%s\n", registry.to_prometheus().c_str());
   std::printf("=== iteration latency summary ===\n%s\n\n",
@@ -65,7 +68,8 @@ int main() {
               static_cast<long long>(runtime.stats().producer_blocks),
               static_cast<long long>(runtime.stats().consumer_blocks));
 
-  const std::string chrome = trace.to_chrome_trace_json();
+  const obs::FlightLog log = flight.collect();
+  const std::string chrome = obs::analyze_critical_path(log).to_chrome_trace_json(log);
   std::printf("=== Chrome trace (first 400 chars; load the full JSON in Perfetto) ===\n%.400s...\n",
               chrome.c_str());
   return 0;

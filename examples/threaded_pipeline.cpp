@@ -1,14 +1,15 @@
 /// \file threaded_pipeline.cpp
 /// Software SPI on real threads: the same application wired once and
-/// run on both execution engines — FunctionalRuntime (sequential
-/// interleaving) and ThreadedRuntime (one std::thread per processor,
-/// blocking SPI channels). Dataflow determinacy makes the outputs
+/// run in both JobInstance modes — colocated (the PASS walked on the
+/// calling thread) and as a gang (one pool worker per processor,
+/// bounded SPI channels). Dataflow determinacy makes the outputs
 /// identical; the channel statistics show the real back-pressure the
 /// threads exercised.
 #include <cstdio>
 
 #include "apps/serialization.hpp"
-#include "core/threaded_runtime.hpp"
+#include "core/job_instance.hpp"
+#include "core/worker_pool.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/rng.hpp"
 
@@ -32,7 +33,8 @@ int main() {
   const core::SpiSystem system(g, assignment);
 
   const auto taps = dsp::design_lowpass(21, 0.2);
-  auto wire = [&](auto& runtime, std::vector<double>& sink, auto& filter_state) {
+  auto wire = [&](core::JobInstance& runtime, std::vector<double>& sink,
+                  dsp::FirState& filter_state) {
     runtime.set_compute(src, [&, e_raw](core::FiringContext& ctx) {
       dsp::Rng rng(static_cast<std::uint64_t>(ctx.invocation) + 1);
       auto& out = ctx.outputs[ctx.output_index(e_raw)];
@@ -55,15 +57,16 @@ int main() {
 
   std::vector<double> sequential, threaded;
   {
-    core::FunctionalRuntime runtime(system);
+    core::JobInstance runtime(system.plan());
     dsp::FirState state(taps);
     wire(runtime, sequential, state);
-    runtime.run(kIterations);
+    runtime.run_colocated(kIterations);
   }
-  core::ThreadedRuntime runtime(system);
+  core::JobInstance runtime(system.plan());
+  core::WorkerPool pool(runtime.proc_count());
   dsp::FirState state(taps);
   wire(runtime, threaded, state);
-  runtime.run(kIterations);
+  runtime.run(pool, kIterations);
 
   double max_diff = 0.0;
   for (std::size_t i = 0; i < sequential.size(); ++i)

@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "apps/serialization.hpp"
-#include "core/functional.hpp"
+#include "core/job_instance.hpp"
 #include "core/packing.hpp"
 #include "core/spi_system.hpp"
 #include "dataflow/dot.hpp"
@@ -46,7 +46,7 @@ int main() {
   const core::SpiSystem system(g, assignment);
   std::printf("%s\n", system.report().c_str());
 
-  core::FunctionalRuntime runtime(system);
+  core::JobInstance runtime(system.plan());
   const core::TokenPacker packer(2, 10);
   dsp::Rng rng(1);
   std::int64_t raw_sent = 0, raw_received = 0;
@@ -61,18 +61,20 @@ int main() {
     raw_received += static_cast<std::int64_t>(
         packer.unpack(ctx.inputs[ctx.input_index(e)][0]).size());
   });
-  runtime.run(1000);
+  runtime.run_colocated(1000);
 
-  const auto& stats = runtime.channel(e).stats();
+  const auto stats = runtime.channel_traffic(e);
+  const std::int64_t wire_bytes = stats.payload_bytes + stats.messages * core::kDynamicHeaderBytes;
   std::printf("1000 firings: %lld raw tokens sent, %lld received (must match)\n",
               static_cast<long long>(raw_sent), static_cast<long long>(raw_received));
   std::printf("channel: %lld messages, %lld payload B, %lld wire B -> %.2f B header/msg\n",
               static_cast<long long>(stats.messages),
-              static_cast<long long>(stats.payload_bytes),
-              static_cast<long long>(stats.wire_bytes),
-              static_cast<double>(stats.wire_bytes - stats.payload_bytes) /
+              static_cast<long long>(stats.payload_bytes), static_cast<long long>(wire_bytes),
+              static_cast<double>(wire_bytes - stats.payload_bytes) /
                   static_cast<double>(stats.messages));
-  std::printf("max channel occupancy %lld message(s) — within the static bound.\n",
-              static_cast<long long>(stats.max_occupancy));
+  runtime.refresh_channel_gauges();
+  std::printf("max channel occupancy %.0f message(s) — within the static bound.\n",
+              runtime.metrics().gauge_value("spi_channel_high_watermark_tokens",
+                                            {{"channel", system.channel_for(e).name}}));
   return raw_sent == raw_received ? 0 : 1;
 }

@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "apps/serialization.hpp"
-#include "core/functional.hpp"
+#include "core/worker_pool.hpp"
 
 namespace spi::apps {
 
@@ -160,8 +160,7 @@ std::shared_ptr<ParticleFilterApp::TrackState> ParticleFilterApp::make_track_sta
   return shared;
 }
 
-template <class Runtime>
-void ParticleFilterApp::wire_tracking(Runtime& runtime,
+void ParticleFilterApp::wire_tracking(core::JobInstance& runtime,
                                       const std::shared_ptr<BatchTrackState>& batch) const {
   const auto n = static_cast<std::size_t>(pe_count_);
   const std::size_t quota = params_.particles / n;
@@ -310,22 +309,30 @@ TrackResult ParticleFilterApp::track(const dsp::CrackTrajectory& trajectory) con
   auto shared =
       make_track_state(params_, static_cast<std::size_t>(pe_count_), trajectory);
 
-  core::FunctionalRuntime runtime(*system_);
+  const core::ExecutablePlan& plan = system_->plan();
+  core::JobInstance runtime(plan);
+  // The channel counters include initial-token placement; count only
+  // what this run moves.
+  std::vector<core::JobInstance::ChannelTraffic> before;
+  for (const core::ChannelSpec& spec : plan.channels)
+    before.push_back(runtime.channel_traffic(spec.edge));
+
   wire_tracking(runtime, one_job_batch<BatchTrackState>(shared, trajectory.observations.size()));
-  runtime.run(static_cast<std::int64_t>(trajectory.observations.size()));
+  runtime.run_colocated(static_cast<std::int64_t>(trajectory.observations.size()));
 
   TrackResult result;
   result.estimates = std::move(shared->estimates);
   result.resample_steps = shared->resample_steps;
   result.rmse_vs_truth = dsp::rmse(trajectory.truth, result.estimates);
-  for (const auto& [edge, channel] : runtime.channels()) {
-    const bool dynamic = channel.config().mode == core::SpiMode::kDynamic;
-    if (dynamic) {
-      result.dynamic_messages += channel.stats().messages;
-      result.particles_exchanged +=
-          channel.stats().payload_bytes / static_cast<std::int64_t>(sizeof(double));
+  for (std::size_t c = 0; c < plan.channels.size(); ++c) {
+    const core::JobInstance::ChannelTraffic now = runtime.channel_traffic(plan.channels[c].edge);
+    const std::int64_t messages = now.messages - before[c].messages;
+    if (plan.channels[c].mode == core::SpiMode::kDynamic) {
+      result.dynamic_messages += messages;
+      result.particles_exchanged += (now.payload_bytes - before[c].payload_bytes) /
+                                    static_cast<std::int64_t>(sizeof(double));
     } else {
-      result.static_messages += channel.stats().messages;
+      result.static_messages += messages;
     }
   }
   return result;
@@ -342,11 +349,12 @@ TrackResult ParticleFilterApp::track_threaded(const dsp::CrackTrajectory& trajec
   auto shared =
       make_track_state(params_, static_cast<std::size_t>(pe_count_), trajectory);
 
-  core::ThreadedRuntime runtime(system_->plan(), policy);
+  core::JobInstance runtime(system_->plan(), {policy, {}, nullptr, {}});
+  core::WorkerPool pool(runtime.proc_count());
   wire_tracking(runtime, one_job_batch<BatchTrackState>(shared, trajectory.observations.size()));
   core::RunOptions options = run_options;
   options.iterations = static_cast<std::int64_t>(trajectory.observations.size());
-  runtime.run(options);
+  runtime.run(pool, options);
 
   TrackResult result;
   result.estimates = std::move(shared->estimates);

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "core/spi_system.hpp"
-#include "core/threaded_runtime.hpp"
+#include "core/job_instance.hpp"
 #include "dsp/particle_filter.hpp"
 #include "sim/fpga_area.hpp"
 
@@ -79,7 +79,10 @@ class ParticleFilterApp {
   [[nodiscard]] const core::SpiSystem& system() const { return *system_; }
 
   /// Functional distributed tracking of a trajectory through the SPI
-  /// fabric (real packed particles, real headers, real resampling).
+  /// fabric (real packed particles, real resampling), colocated on the
+  /// calling thread (JobInstance::run_colocated). The message and
+  /// particle counts come from the instance's per-channel
+  /// spi_threaded_* counters, split by ChannelSpec mode.
   [[nodiscard]] TrackResult track(const dsp::CrackTrajectory& trajectory) const;
 
   /// Same tracking on real host threads — one per PE, with the phases
@@ -87,9 +90,8 @@ class ParticleFilterApp {
   /// the estimates bit-identical to track() whatever the thread schedule
   /// (the parity tests assert it). `policy` selects the channel
   /// implementation: lock-free SPSC (default) or the blocking fallback.
-  /// static_messages/dynamic_messages are zero here — the threaded
-  /// engine aggregates per-channel counters in its MetricRegistry
-  /// instead of per wire format.
+  /// static_messages/dynamic_messages are left zero here; track()
+  /// reports them.
   [[nodiscard]] TrackResult track_threaded(
       const dsp::CrackTrajectory& trajectory,
       core::ChannelPolicy policy = core::ChannelPolicy::kAuto) const;
@@ -142,16 +144,14 @@ class ParticleFilterApp {
   struct BatchTrackState;  // ordered job states + the invocation->job mapping
   [[nodiscard]] static std::shared_ptr<TrackState> make_track_state(
       const ParticleParams& params, std::size_t n, const dsp::CrackTrajectory& trajectory);
-  /// Registers all compute functions on either execution engine
-  /// (FunctionalRuntime, ThreadedRuntime or JobInstance — same ComputeFn
-  /// contract). Each firing resolves its job's TrackState from
+  /// Registers all compute functions on `runtime` (run colocated or as
+  /// a gang — same ComputeFn contract). Each firing resolves its job's TrackState from
   /// ctx.invocation (a single-trajectory run is a batch of one). Each
   /// PE's state is touched only by that PE's actors (all mapped to the
   /// same processor), and the shared estimate is appended only by Res0 —
-  /// so the wiring is thread-safe on the threaded engine without extra
-  /// locks.
-  template <class Runtime>
-  void wire_tracking(Runtime& runtime, const std::shared_ptr<BatchTrackState>& batch) const;
+  /// so the wiring is thread-safe under a gang run without extra locks.
+  void wire_tracking(core::JobInstance& runtime,
+                     const std::shared_ptr<BatchTrackState>& batch) const;
 
   std::int32_t pe_count_;
   ParticleParams params_;

@@ -46,7 +46,7 @@ inline void append_i32(Bytes& out, std::int32_t v) {
   if (bytes.size() % sizeof(double) != 0)
     throw std::invalid_argument("unpack_f64: byte count not a multiple of 8");
   std::vector<double> out(bytes.size() / sizeof(double));
-  std::memcpy(out.data(), bytes.data(), bytes.size());
+  if (!out.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());  // empty: both null
   return out;
 }
 
@@ -54,7 +54,7 @@ inline void append_i32(Bytes& out, std::int32_t v) {
   if (bytes.size() % sizeof(std::int32_t) != 0)
     throw std::invalid_argument("unpack_i32: byte count not a multiple of 4");
   std::vector<std::int32_t> out(bytes.size() / sizeof(std::int32_t));
-  std::memcpy(out.data(), bytes.data(), bytes.size());
+  if (!out.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());  // empty: both null
   return out;
 }
 

@@ -3,7 +3,7 @@
 #include <stdexcept>
 
 #include "apps/serialization.hpp"
-#include "core/functional.hpp"
+#include "core/worker_pool.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/linalg.hpp"
 #include "dsp/lpc.hpp"
@@ -196,8 +196,7 @@ ErrorGenApp::Section ErrorGenApp::section(std::int32_t pe, std::size_t sample_co
   return s;
 }
 
-template <class Runtime>
-void ErrorGenApp::wire_error_gen(Runtime& runtime, std::span<const double> frame,
+void ErrorGenApp::wire_error_gen(core::JobInstance& runtime, std::span<const double> frame,
                                  std::span<const double> coeffs,
                                  const std::shared_ptr<std::vector<double>>& result) const {
   const std::vector<double> frame_copy(frame.begin(), frame.end());
@@ -244,10 +243,10 @@ std::vector<double> ErrorGenApp::compute_errors_parallel(std::span<const double>
   if (coeffs.size() > params_.max_order)
     throw std::length_error("ErrorGenApp: order exceeds the declared bound");
 
-  core::FunctionalRuntime runtime(*system_);
+  core::JobInstance runtime(system_->plan());
   auto result = std::make_shared<std::vector<double>>(frame.size(), 0.0);
   wire_error_gen(runtime, frame, coeffs, result);
-  runtime.run(1);
+  runtime.run_colocated(1);
   return std::move(*result);
 }
 
@@ -256,16 +255,9 @@ std::vector<double> ErrorGenApp::compute_errors_threaded(std::span<const double>
                                                          core::ReliabilityOptions reliability,
                                                          obs::MetricRegistry* metrics,
                                                          core::ChannelPolicy policy) const {
-  if (frame.size() > params_.max_frame_size)
-    throw std::length_error("ErrorGenApp: frame exceeds the declared bound");
-  if (coeffs.size() > params_.max_order)
-    throw std::length_error("ErrorGenApp: order exceeds the declared bound");
-
-  core::ThreadedRuntime runtime(system_->plan(), policy, reliability, metrics);
-  auto result = std::make_shared<std::vector<double>>(frame.size(), 0.0);
-  wire_error_gen(runtime, frame, coeffs, result);
-  runtime.run(1);
-  return std::move(*result);
+  core::RunOptions options;
+  options.iterations = 1;
+  return compute_errors_threaded(frame, coeffs, options, reliability, metrics, policy);
 }
 
 std::vector<double> ErrorGenApp::compute_errors_threaded(std::span<const double> frame,
@@ -279,10 +271,11 @@ std::vector<double> ErrorGenApp::compute_errors_threaded(std::span<const double>
   if (coeffs.size() > params_.max_order)
     throw std::length_error("ErrorGenApp: order exceeds the declared bound");
 
-  core::ThreadedRuntime runtime(system_->plan(), policy, reliability, metrics);
+  core::JobInstance runtime(system_->plan(), {policy, reliability, metrics, {}});
+  core::WorkerPool pool(runtime.proc_count());
   auto result = std::make_shared<std::vector<double>>(frame.size(), 0.0);
   wire_error_gen(runtime, frame, coeffs, result);
-  runtime.run(run_options);
+  runtime.run(pool, run_options);
   return std::move(*result);
 }
 

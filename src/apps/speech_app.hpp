@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "core/spi_system.hpp"
-#include "core/threaded_runtime.hpp"
+#include "core/job_instance.hpp"
 #include "dsp/huffman.hpp"
 #include "dsp/quantize.hpp"
 #include "sim/fpga_area.hpp"
@@ -116,7 +116,8 @@ class ErrorGenApp {
                                 std::size_t order) const;
 
   /// Functional parallel execution of one frame through the SPI fabric
-  /// (real packed tokens, real headers). The result is bit-identical to
+  /// (real packed tokens), colocated on the calling thread
+  /// (JobInstance::run_colocated). The result is bit-identical to
   /// SpeechCompressor::frame_errors — the integration tests assert it.
   [[nodiscard]] std::vector<double> compute_errors_parallel(std::span<const double> frame,
                                                             std::span<const double> coeffs) const;
@@ -202,11 +203,10 @@ class ErrorGenApp {
   [[nodiscard]] static sim::AreaReport full_hardware_area(std::int32_t pipelines);
 
  private:
-  /// Registers the four per-PE compute functions on either execution
-  /// engine (FunctionalRuntime or ThreadedRuntime — same ComputeFn
-  /// contract). `result` collects the error values by section.
-  template <class Runtime>
-  void wire_error_gen(Runtime& runtime, std::span<const double> frame,
+  /// Registers the four per-PE compute functions on `runtime` (run
+  /// colocated or as a gang — same ComputeFn contract). `result`
+  /// collects the error values by section.
+  void wire_error_gen(core::JobInstance& runtime, std::span<const double> frame,
                       std::span<const double> coeffs,
                       const std::shared_ptr<std::vector<double>>& result) const;
 

@@ -27,6 +27,7 @@ void BlockingChannel::enable_reliability(const sim::FaultPlan* plan,
 void BlockingChannel::enqueue(Bytes frame, const ChannelFlightCtx* flight) {
   std::unique_lock lock(mutex_);
   if (queue_.size() >= capacity_) {
+    if (colocated_ && *colocated_) throw colocated_wait_error(edge_name_, true);
     if (counters_.producer_blocks) counters_.producer_blocks->inc();
     if (flight && flight->recorder)
       flight->recorder->record(flight->proc, obs::FlightEventKind::kBlockBegin, flight->actor,
@@ -58,6 +59,7 @@ std::size_t BlockingChannel::high_watermark() const {
 Bytes BlockingChannel::dequeue(const ChannelFlightCtx* flight) {
   std::unique_lock lock(mutex_);
   if (queue_.empty()) {
+    if (colocated_ && *colocated_) throw colocated_wait_error(edge_name_, false);
     if (counters_.consumer_blocks) counters_.consumer_blocks->inc();
     if (flight && flight->recorder)
       flight->recorder->record(flight->proc, obs::FlightEventKind::kBlockBegin, flight->actor,

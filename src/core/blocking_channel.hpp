@@ -1,10 +1,10 @@
 /// \file blocking_channel.hpp
-/// Mutex + condition-variable bounded token FIFO — the threaded
-/// runtime's reliable-transport channel and the general-purpose fallback
+/// Mutex + condition-variable bounded token FIFO — the host engine's
+/// reliable-transport channel and the general-purpose fallback
 /// the lock-free SpscChannel is measured against (bench/micro_channel).
 ///
-/// Historically this was ThreadedRuntime's only channel. It remains the
-/// right structure when the edge speaks the reliable protocol
+/// Historically this was the threaded engine's only channel. It remains
+/// the right structure when the edge speaks the reliable protocol
 /// (docs/reliability.md): retransmission scripts need to requeue frames,
 /// receive timeouts need a deadline wait, and both sit naturally on a
 /// condvar'd deque. Plain (non-reliable) edges use SpscChannel instead —
@@ -71,6 +71,14 @@ class BlockingChannel {
 
   [[nodiscard]] bool reliable() const { return sender_ != nullptr; }
 
+  /// Same contract as SpscChannel::set_colocated_flag: while
+  /// `*colocated` holds, a push to a full or pop from an empty channel
+  /// throws colocated_wait_error instead of waiting.
+  void set_colocated_flag(const bool* colocated, std::string edge_name) {
+    colocated_ = colocated;
+    edge_name_ = std::move(edge_name);
+  }
+
   [[nodiscard]] df::EdgeId edge() const { return edge_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   /// Queued-but-unconsumed frames right now (takes the channel mutex —
@@ -104,6 +112,8 @@ class BlockingChannel {
   std::size_t high_watermark_ = 0;  ///< guarded by mutex_
   std::atomic<bool>& abort_;
   ChannelCounters counters_;
+  const bool* colocated_ = nullptr;  ///< owner's colocated-run flag
+  std::string edge_name_;            ///< for colocated_wait_error
   // Reliable mode (null/empty otherwise). Sender state is touched only
   // by the edge's producing thread, receiver state only by its
   // consuming thread — dataflow edges are single-producer,

@@ -13,6 +13,18 @@
 
 namespace spi::core {
 
+std::size_t FiringContext::input_index(df::EdgeId e) const {
+  const auto it = std::find(in_edges.begin(), in_edges.end(), e);
+  if (it == in_edges.end()) throw std::out_of_range("FiringContext: not an input edge");
+  return static_cast<std::size_t>(it - in_edges.begin());
+}
+
+std::size_t FiringContext::output_index(df::EdgeId e) const {
+  const auto it = std::find(out_edges.begin(), out_edges.end(), e);
+  if (it == out_edges.end()) throw std::out_of_range("FiringContext: not an output edge");
+  return static_cast<std::size_t>(it - out_edges.begin());
+}
+
 JobInstance::JobInstance(const ExecutablePlan& plan, JobInstanceOptions options)
     : plan_(plan),
       graph_(plan.vts.graph),
@@ -33,6 +45,14 @@ JobInstance::JobInstance(const ExecutablePlan& plan, JobInstanceOptions options)
 }
 
 void JobInstance::init() {
+  // fire() checks packed tokens for a whole number of raw tokens; a
+  // (loaded) plan must not turn that into a division by zero.
+  for (std::size_t i = 0; i < graph_.edge_count(); ++i)
+    if (plan_.vts.edges[i].converted && plan_.vts.edges[i].raw_token_bytes <= 0)
+      throw std::invalid_argument("JobInstance: converted edge " +
+                                  graph_.edge(static_cast<df::EdgeId>(i)).name +
+                                  " has no raw token size");
+
   // Bounded channels for every interprocessor edge. Capacity: the BBS
   // bound (equation 2, converted to tokens) or the UBS credit window,
   // plus the edge's initial tokens.
@@ -125,6 +145,7 @@ void JobInstance::init() {
           spec.edge, static_cast<std::size_t>(std::max<std::int64_t>(1, capacity)), abort_,
           counters);
       if (reliable) channel->enable_reliability(reliability_.faults, reliability_.policy());
+      channel->set_colocated_flag(&colocated_, spec.name);
       blocking_[ei] = std::move(channel);
     } else {
       const df::VtsEdgeInfo& info = plan_.vts.edges[ei];
@@ -134,6 +155,7 @@ void JobInstance::init() {
           spec.edge, static_cast<std::size_t>(std::max<std::int64_t>(1, capacity)),
           static_cast<std::size_t>(std::max<std::int64_t>(1, frame_bound)), &abort_);
       channel->set_counters(counters.spsc());
+      channel->set_colocated_flag(&colocated_, spec.name);
       spsc_[ei] = std::move(channel);
       ++spsc_count_;
     }
@@ -294,6 +316,13 @@ void JobInstance::set_flight_recorder(obs::FlightRecorder* recorder) {
   flight_->set_names(std::move(actor_names), std::move(edge_names));
 }
 
+JobInstance::ChannelTraffic JobInstance::channel_traffic(df::EdgeId edge) const {
+  const ChannelSpec& spec = plan_.channel_for(edge);
+  const auto index = static_cast<std::size_t>(&spec - plan_.channels.data());
+  const ChannelCounters& c = channel_counters_[index];
+  return {c.messages->value(), c.payload_bytes->value()};
+}
+
 ThreadedRunStats JobInstance::counter_totals() const {
   ThreadedRunStats totals;
   for (const ChannelCounters& c : channel_counters_) {
@@ -319,7 +348,6 @@ void JobInstance::fire(const FiringStep& step, FiringContext& ctx, std::int32_t 
                        std::int64_t iteration, WorkerState& ws) {
   const df::ActorId actor = step.actor;
   const auto a = static_cast<std::size_t>(actor);
-  const std::int64_t span_start_us = trace_ ? trace_->now_us() : 0;
   const ChannelFlightCtx flight_ctx{flight_, proc, actor, iteration};
   const ChannelFlightCtx* flight = flight_ ? &flight_ctx : nullptr;
   if (flight)
@@ -396,9 +424,17 @@ void JobInstance::fire(const FiringStep& step, FiringContext& ctx, std::int32_t 
       if (static_cast<std::int64_t>(ctx.outputs[i].size()) != e.prod.value())
         throw std::logic_error("JobInstance: wrong token count on " + e.name);
       for (Bytes& token : ctx.outputs[i]) {
-        if (info.converted && static_cast<std::int64_t>(token.size()) > info.b_max_bytes)
-          throw std::length_error("JobInstance: packed token exceeds b_max on " + e.name);
-        batch_bytes += static_cast<std::int64_t>(token.size());
+        const auto size = static_cast<std::int64_t>(token.size());
+        if (info.converted) {
+          if (size > info.b_max_bytes)
+            throw std::length_error("JobInstance: packed token exceeds b_max on " + e.name);
+          if (size % info.raw_token_bytes != 0)
+            throw std::logic_error(
+                "JobInstance: packed token is not a whole number of raw tokens on " + e.name);
+        } else if (size != e.token_bytes) {
+          throw std::logic_error("JobInstance: token size mismatch on " + e.name);
+        }
+        batch_bytes += size;
         if (spsc_[ei])
           spsc_[ei]->push({token.data(), token.size()}, flight);
         else if (blocking_[ei])
@@ -423,9 +459,6 @@ void JobInstance::fire(const FiringStep& step, FiringContext& ctx, std::int32_t 
 
   if (flight)
     flight_->record(proc, obs::FlightEventKind::kFireEnd, actor, -1, 0, iteration);
-  if (trace_)
-    trace_->record({graph_.actor(actor).name, "firing", proc, span_start_us, trace_->now_us(),
-                    iteration});
 }
 
 void JobInstance::worker(std::int32_t proc, std::int64_t iterations) {
@@ -475,9 +508,12 @@ void JobInstance::colocated_body(std::int64_t iterations) {
   // The whole plan on the calling thread, in PASS order. Admissibility
   // plus the eq.-2 capacities mean no channel operation here ever waits
   // — a wait with one thread would be a deadlock, and handing the plan
-  // to this path is an assertion that the schedule proof holds. The same
-  // fire()/heartbeat machinery runs, so the watchdog, flight recorder
-  // and /runtime endpoint see exactly what they see under the gang.
+  // to this path is an assertion that the schedule proof holds, and
+  // colocated_ makes every channel throw rather than wait should it not.
+  // The same fire()/heartbeat machinery runs, so the watchdog, flight
+  // recorder and /runtime endpoint see exactly what they see under the
+  // gang.
+  colocated_ = true;
   try {
     for (std::int64_t iter = 0; iter < iterations && !abort_.load(); ++iter) {
       for (std::size_t i = 0; i < worker_count_; ++i)
@@ -504,6 +540,7 @@ void JobInstance::colocated_body(std::int64_t iterations) {
     abort_.store(true);
     interrupt_all();
   }
+  colocated_ = false;
   for (std::size_t i = 0; i < worker_count_; ++i)
     worker_state_[i].done.store(true, std::memory_order_relaxed);
 }
@@ -520,6 +557,12 @@ void JobInstance::run(WorkerPool& pool, const RunOptions& options) {
   // throws out of pool.run() are pool-level (too-wide gang, shutdown),
   // which run_with's unwind path turns into a clean teardown.
   run_with(options, [&] { pool.run(tasks); });
+}
+
+void JobInstance::run(WorkerPool& pool, std::int64_t iterations) {
+  RunOptions options;
+  options.iterations = iterations;
+  run(pool, options);
 }
 
 void JobInstance::run_colocated(std::int64_t iterations) {

@@ -1,24 +1,38 @@
 /// \file job_instance.hpp
-/// Per-job execution state of a compiled plan: channels, firing
-/// contexts, worker heartbeats, statistics — everything one run of one
-/// plan instance needs, separated from the threads that execute it.
+/// The host execution engine: per-job execution state of a compiled
+/// plan — channels, firing contexts, worker heartbeats, statistics —
+/// everything one run of one plan instance needs, separated from the
+/// threads that execute it.
 ///
-/// The execution stack is three layers (docs/serving.md):
+/// The execution stack is two layers (docs/serving.md):
 ///
-///   WorkerPool      persistent threads, gang-scheduled (worker_pool.hpp)
-///   JobInstance     this file — one plan instance's channels + contexts
-///   ThreadedRuntime facade for the classic one-plan/one-runtime API
-///                   (threaded_runtime.hpp)
+///   WorkerPool   persistent threads, gang-scheduled (worker_pool.hpp)
+///   JobInstance  this file — one plan instance's channels + contexts
 ///
 /// A JobInstance is built once from an ExecutablePlan and executed many
-/// times: `run(pool, options)` borrows plan.programs.size() pool workers
-/// as a gang (the pre-serving one-thread-per-processor behavior without
-/// the thread churn), while `run_colocated(...)` executes the whole
-/// iteration on the *calling* thread by walking the plan's PASS in its
-/// admissible sequential order through the very same channels. Dataflow
-/// determinacy makes both orders produce bit-identical token streams —
-/// the serve layer exploits that to batch many queued jobs into one
-/// program traversal without a single cross-thread handoff.
+/// times, in one of two modes:
+///
+///  * `run(pool, options)` borrows plan.programs.size() pool workers as
+///    a gang — one thread per modeled processor, self-timed scheduling
+///    realized by the bounded channels (the paper's software SPI).
+///  * `run_colocated(...)` executes every processor's program on the
+///    *calling* thread by walking the plan's PASS in its admissible
+///    sequential order through the very same channels — the sequential
+///    reference, and the serve layer's batching path.
+///
+/// Dataflow determinacy makes both orders produce bit-identical token
+/// streams (the tests assert it, gang against colocated), so an
+/// application wires its ComputeFns once and runs on either mode.
+///
+/// Channel selection (docs/architecture.md): plain edges ride the
+/// lock-free zero-copy SpscChannel, a slab sized from the plan's
+/// equation-2 bound; reliability-enabled edges keep the mutex-based
+/// BlockingChannel, whose requeue/timeout semantics the retry protocol
+/// needs. ChannelPolicy::kBlockingOnly forces the fallback everywhere.
+///
+/// Every firing's outputs are checked against the plan: exact token
+/// count, exact token size on static edges, and on VTS-converted edges
+/// a whole number of raw tokens no larger than b_max.
 ///
 /// Instances are isolated: each owns its channel slabs and freelists, so
 /// concurrent JobInstances of the same (or different) plans never share
@@ -32,21 +46,46 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/blocking_channel.hpp"
-#include "core/functional.hpp"
+#include "core/plan.hpp"
+#include "core/spi_system.hpp"
 #include "core/spsc_channel.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/runtime_trace.hpp"
 #include "obs/watchdog.hpp"
 #include "sim/fault.hpp"
 
 namespace spi::core {
 
 class WorkerPool;
+
+/// Everything one firing sees and produces. Tokens on VTS-converted
+/// dynamic edges are *packed* tokens (variable size up to b_max, a whole
+/// number of raw tokens; build them with TokenPacker); tokens on static
+/// edges have the edge's exact token size.
+struct FiringContext {
+  df::ActorId actor = df::kInvalidActor;
+  std::int64_t invocation = 0;  ///< k-th firing of this actor (0-based, global)
+  /// inputs[i] = the cons-rate tokens consumed from in_edges[i].
+  std::vector<std::vector<Bytes>> inputs;
+  /// outputs[i] must be filled with prod-rate tokens for out_edges[i].
+  std::vector<std::vector<Bytes>> outputs;
+  /// Edge ids aligned with inputs / outputs.
+  std::span<const df::EdgeId> in_edges;
+  std::span<const df::EdgeId> out_edges;
+
+  /// Convenience: index of edge `e` within in_edges / out_edges.
+  [[nodiscard]] std::size_t input_index(df::EdgeId e) const;
+  [[nodiscard]] std::size_t output_index(df::EdgeId e) const;
+};
+
+/// An actor's computation. Unregistered actors default to producing
+/// zero-filled full-rate tokens (useful for smoke tests and benches).
+using ComputeFn = std::function<void(FiringContext&)>;
 
 /// Turns the runtime's interprocessor channels into reliable links.
 struct ReliabilityOptions {
@@ -149,22 +188,22 @@ class JobInstance {
   JobInstance(const JobInstance&) = delete;
   JobInstance& operator=(const JobInstance&) = delete;
 
-  /// Registers an actor's computation (same contract as
-  /// FunctionalRuntime::set_compute; must be called before run()).
+  /// Registers an actor's computation (must be called before run()).
   /// Compute functions for actors on different processors run
   /// concurrently under run(pool, ...) — they must not share mutable
   /// state without their own synchronization. Re-registering between
   /// runs is allowed (the serve layer rewires per batch).
   void set_compute(df::ActorId actor, ComputeFn fn);
 
-  /// Attaches a wall-clock trace recorder: every firing is recorded as a
-  /// span (tid = processor). Not owned; must outlive run(). Null
-  /// detaches.
-  void set_trace(obs::RuntimeTraceRecorder* trace) { trace_ = trace; }
-
-  /// Attaches a flight recorder (docs/observability.md). The recorder's
-  /// proc_count must cover the plan's. Not owned; must outlive run().
-  /// Null detaches.
+  /// Attaches a flight recorder (docs/observability.md): every firing,
+  /// interprocessor send/receive and blocking wait becomes a causal
+  /// event, wait-free on the hot path. On SPSC channels kBlockBegin/
+  /// kBlockEnd are emitted only when a wait actually parks the thread.
+  /// The recorder's proc_count must cover the plan's; actor/edge names
+  /// are installed from the plan so dumps are self-describing. Not
+  /// owned; must outlive run(). Null detaches. If the recorder has a
+  /// postmortem_path and a run fails with sim::ChannelError, the
+  /// collected log is written there before the error is rethrown.
   void set_flight_recorder(obs::FlightRecorder* recorder);
 
   /// Runs `options.iterations` graph iterations as a gang of
@@ -176,11 +215,14 @@ class JobInstance {
   /// telemetry server (options.obs_port) and the progress watchdog
   /// (options.watchdog) for the duration of the run.
   void run(WorkerPool& pool, const RunOptions& options);
+  void run(WorkerPool& pool, std::int64_t iterations);
 
   /// Colocated execution: the *calling* thread walks the plan's PASS —
   /// its admissible sequential order — through the same channels, so a
   /// whole batch of iterations executes with zero cross-thread traffic.
-  /// Admissibility guarantees no channel operation ever waits. Same
+  /// Admissibility guarantees no channel operation ever waits; one that
+  /// would (a plan whose capacities the schedule does not admit) throws
+  /// std::logic_error naming the edge instead of deadlocking. Same
   /// watchdog/stats/error semantics as run(); the embedded telemetry
   /// server is also honored (a serving daemon normally mounts its own
   /// HTTP front instead and leaves obs_port negative).
@@ -188,8 +230,8 @@ class JobInstance {
   void run_colocated(std::int64_t iterations);
 
   /// Resets the per-actor invocation counters that feed
-  /// FiringContext::invocation. The classic runtime never calls this
-  /// (invocations stay cumulative across runs); the serve layer resets
+  /// FiringContext::invocation. Without it invocations stay cumulative
+  /// across runs; the serve layer resets
   /// per batch so computes can index batch inputs by invocation.
   void reset_invocations();
 
@@ -210,6 +252,16 @@ class JobInstance {
   /// Aggregated channel statistics of the last run() (partial if it
   /// threw).
   [[nodiscard]] const ThreadedRunStats& stats() const { return stats_; }
+
+  /// Tokens and payload bytes one interprocessor channel has moved over
+  /// this instance's lifetime — its spi_threaded_messages_total and
+  /// spi_threaded_payload_bytes_total series, initial tokens included.
+  /// Throws std::out_of_range for a processor-local edge.
+  struct ChannelTraffic {
+    std::int64_t messages = 0;
+    std::int64_t payload_bytes = 0;
+  };
+  [[nodiscard]] ChannelTraffic channel_traffic(df::EdgeId edge) const;
 
   /// Wall-clock nanoseconds the last completed run() / run_colocated()
   /// spent inside plan execution (gang or colocated walk), excluding
@@ -297,7 +349,6 @@ class JobInstance {
   std::string label_;
   std::unique_ptr<obs::MetricRegistry> owned_registry_;  ///< when none was provided
   obs::MetricRegistry* registry_ = nullptr;
-  obs::RuntimeTraceRecorder* trace_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   std::vector<ComputeFn> compute_;
   /// Per-edge local FIFOs (touched only by the owning processor's
@@ -343,6 +394,9 @@ class JobInstance {
   /// takes the lock.
   std::mutex inflight_mutex_;
   std::condition_variable inflight_cv_;
+  /// True while colocated_body() walks the PASS: every channel points
+  /// at it, so a wait that could never end throws instead of parking.
+  bool colocated_ = false;
   std::atomic<bool> running_{false};
   std::atomic<bool> abort_{false};
   std::mutex error_mutex_;

@@ -34,6 +34,12 @@ inline void cpu_relax() noexcept {
 
 }  // namespace
 
+std::logic_error colocated_wait_error(const std::string& edge_name, bool producer) {
+  return std::logic_error("SPI channel " + edge_name + ": a colocated run would wait on a " +
+                          (producer ? "full" : "empty") +
+                          " channel (schedule bug: the plan's capacities do not admit its PASS)");
+}
+
 SpscChannel::SpscChannel(df::EdgeId edge, std::size_t capacity, std::size_t frame_bound,
                          std::atomic<bool>* abort)
     : edge_(edge),
@@ -48,6 +54,7 @@ SpscChannel::SpscChannel(df::EdgeId edge, std::size_t capacity, std::size_t fram
 template <class Ready>
 bool SpscChannel::wait(Side side, Ready&& ready, const ChannelFlightCtx* flight) {
   const bool producer = side == Side::kProducer;
+  if (colocated_ && *colocated_) throw colocated_wait_error(edge_name_, producer);
   obs::Counter* blocks = producer ? counters_.producer_blocks : counters_.consumer_blocks;
   obs::Counter* micros =
       producer ? counters_.producer_block_micros : counters_.consumer_block_micros;

@@ -31,7 +31,7 @@
 /// only when the wait actually parks (spin waits are not "blocked" in any
 /// sense the critical-path analyzer should attribute).
 ///
-/// ThreadedRuntime selects this channel for every IPC edge of the plan
+/// JobInstance selects this channel for every IPC edge of the plan
 /// except reliability-enabled ones (retry/timeout needs the requeue
 /// semantics of BlockingChannel — see docs/architecture.md, "Channel
 /// selection").
@@ -43,6 +43,7 @@
 #include <mutex>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/message.hpp"
@@ -57,6 +58,12 @@ namespace spi::core {
 struct ChannelInterrupted : std::runtime_error {
   ChannelInterrupted() : std::runtime_error("SPI channel: interrupted by abort") {}
 };
+
+/// The error a channel raises instead of waiting while its owner runs
+/// colocated: producer and consumer are then one thread, so the wait
+/// could never end — the plan's capacities do not admit its PASS.
+[[nodiscard]] std::logic_error colocated_wait_error(const std::string& edge_name,
+                                                    bool producer);
 
 /// Per-call flight-recording context: who is touching the channel. A
 /// null pointer at the call site means recording is off (construction
@@ -102,6 +109,15 @@ class SpscChannel {
   SpscChannel& operator=(const SpscChannel&) = delete;
 
   void set_counters(const SpscCounters& counters) { counters_ = counters; }
+
+  /// Colocated runs (JobInstance::run_colocated): while `*colocated`
+  /// holds, the wait slow path throws colocated_wait_error naming
+  /// `edge_name` instead of spinning and parking. The fast path is
+  /// unchanged. The flag must outlive the channel.
+  void set_colocated_flag(const bool* colocated, std::string edge_name) {
+    colocated_ = colocated;
+    edge_name_ = std::move(edge_name);
+  }
 
   [[nodiscard]] df::EdgeId edge() const { return edge_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
@@ -183,6 +199,8 @@ class SpscChannel {
   std::vector<std::uint32_t> sizes_;    ///< published byte count per slot
   std::atomic<bool>* abort_;
   SpscCounters counters_;
+  const bool* colocated_ = nullptr;  ///< owner's colocated-run flag
+  std::string edge_name_;            ///< for colocated_wait_error
 
   // Producer-owned state (shared tail_ on its own cache line; the rest
   // is touched only by the producing thread).

@@ -36,6 +36,9 @@ struct Point {
 
 struct ProcTimeline {
   std::vector<Interval> intervals;  ///< sorted by begin
+  /// Whole FireBegin..FireEnd spans, one per completed firing (the
+  /// compute intervals above are split around waits).
+  std::vector<Interval> firings;
   std::vector<Point> receives;      ///< sorted by t
   std::vector<Point> sends;         ///< sorted by t
 };
@@ -80,7 +83,7 @@ Flattened flatten(const FlightLog& log) {
     ProcTimeline& tl = f.procs[static_cast<std::size_t>(p)];
 
     bool in_fire = false, in_block = false;
-    std::int64_t seg_begin = 0, block_begin = 0;
+    std::int64_t seg_begin = 0, block_begin = 0, fire_begin = 0;
     std::int32_t fire_actor = -1, block_edge = -1, block_side = 0;
     std::int64_t fire_iter = -1;
 
@@ -101,7 +104,7 @@ Flattened flatten(const FlightLog& log) {
         case FlightEventKind::kFireBegin:
           close_compute(e.t);  // tolerate a lost FireEnd
           in_fire = true;
-          seg_begin = e.t;
+          seg_begin = fire_begin = e.t;
           fire_actor = e.actor;
           fire_iter = e.iteration;
           if (!saw_fire_begin || e.t < min_fire_begin) min_fire_begin = e.t;
@@ -113,6 +116,9 @@ Flattened flatten(const FlightLog& log) {
           break;
         case FlightEventKind::kFireEnd: {
           close_compute(e.t);
+          if (in_fire)
+            tl.firings.push_back(
+                {fire_begin, e.t, Interval::What::kCompute, fire_actor, -1, fire_iter, -1});
           in_fire = false;
           if (!saw_fire_end || e.t > max_fire_end) {
             max_fire_end = e.t;
@@ -541,29 +547,41 @@ std::string CriticalPathReport::to_chrome_trace_json(const FlightLog& log) const
   item() += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" +
             std::to_string(log.proc_count) + ",\"args\":{\"name\":\"critical path\"}}";
 
+  // Processor slices: one per firing, with its waits nested inside,
+  // merged into one time-sorted stream (ties by proc, firing before the
+  // wait it encloses) so the trace diffs stably and reads chronologically.
   Flattened f = flatten(log);
+  std::vector<std::pair<std::int32_t, const Interval*>> slices;
   for (std::int32_t p = 0; p < log.proc_count; ++p) {
-    for (const Interval& iv : f.procs[static_cast<std::size_t>(p)].intervals) {
-      std::string name;
-      const char* cat = "compute";
-      if (iv.what == Interval::What::kCompute) {
-        name = name_or(log.actor_names, iv.actor, "actor");
-      } else {
-        cat = "wait";
-        name = "wait " + name_or(log.edge_names, iv.edge, "edge");
-      }
-      std::string& o = item();
-      o += "{\"name\":\"";
-      detail::append_json_escaped(o, name);
-      o += "\",\"cat\":\"";
-      o += cat;
-      o += "\",\"ph\":\"X\",\"ts\":";
-      append_double(o, static_cast<double>(iv.begin) / div);
-      o += ",\"dur\":";
-      append_double(o, static_cast<double>(iv.end - iv.begin) / div);
-      o += ",\"pid\":0,\"tid\":" + std::to_string(p);
-      o += ",\"args\":{\"iteration\":" + std::to_string(iv.iteration) + "}}";
+    const ProcTimeline& tl = f.procs[static_cast<std::size_t>(p)];
+    for (const Interval& iv : tl.firings) slices.emplace_back(p, &iv);
+    for (const Interval& iv : tl.intervals)
+      if (iv.what != Interval::What::kCompute) slices.emplace_back(p, &iv);
+  }
+  std::stable_sort(slices.begin(), slices.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.second->begin, a.first) < std::tie(b.second->begin, b.first);
+  });
+  for (const auto& [p, slice] : slices) {
+    const Interval& iv = *slice;
+    std::string name;
+    const char* cat = "firing";
+    if (iv.what == Interval::What::kCompute) {
+      name = name_or(log.actor_names, iv.actor, "actor");
+    } else {
+      cat = "wait";
+      name = "wait " + name_or(log.edge_names, iv.edge, "edge");
     }
+    std::string& o = item();
+    o += "{\"name\":\"";
+    detail::append_json_escaped(o, name);
+    o += "\",\"cat\":\"";
+    o += cat;
+    o += "\",\"ph\":\"X\",\"ts\":";
+    append_double(o, static_cast<double>(iv.begin) / div);
+    o += ",\"dur\":";
+    append_double(o, static_cast<double>(iv.end - iv.begin) / div);
+    o += ",\"pid\":0,\"tid\":" + std::to_string(p);
+    o += ",\"args\":{\"iteration\":" + std::to_string(iv.iteration) + "}}";
   }
   for (const CriticalSegment& s : segments) {
     std::string& o = item();

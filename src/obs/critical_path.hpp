@@ -135,9 +135,12 @@ struct CriticalPathReport {
   /// tools/json_check in the tooling ctest tier).
   [[nodiscard]] std::string to_json() const;
 
-  /// Chrome trace-event JSON: one "X" slice per firing / block /
-  /// critical-path segment, plus "s"/"t" flow events chaining the
-  /// critical path so Perfetto draws it as connected arrows.
+  /// Chrome trace-event JSON: one "X" slice per firing (cat "firing",
+  /// its waits nested inside as cat "wait"), time-sorted across
+  /// processors, then one per critical-path segment, plus "s"/"t" flow
+  /// events chaining the critical path so Perfetto draws it as
+  /// connected arrows. This is the wall-clock trace `spi_compile
+  /// --trace-out` writes for threaded runs.
   [[nodiscard]] std::string to_chrome_trace_json(const FlightLog& log) const;
 
   /// spi_critpath_* gauges (lengths, breakdown, realized vs predicted
@@ -146,7 +149,7 @@ struct CriticalPathReport {
 };
 
 /// Reconstructs the realized critical path from a flight log.
-/// The log may come from ThreadedRuntime (wall clock) or from the timed
+/// The log may come from JobInstance (wall clock) or from the timed
 /// simulator via sim/flight_adapter.hpp (modeled time) — same schema.
 /// Tolerates truncated logs (ring overflow): unmatched events degrade
 /// to idle/blocked attribution, never UB. Throws std::invalid_argument

@@ -150,7 +150,7 @@ class FlightRecorder {
   void set_time_unit(std::string unit) { time_unit_ = std::move(unit); }
 
   /// When set, the owning runtime writes a post-mortem JSON dump here if
-  /// a run dies on sim::ChannelError (see ThreadedRuntime::run).
+  /// a run dies on sim::ChannelError (see JobInstance::run).
   void set_postmortem_path(std::string path) { postmortem_path_ = std::move(path); }
   [[nodiscard]] const std::string& postmortem_path() const { return postmortem_path_; }
 

@@ -13,8 +13,8 @@
 ///
 /// The cache is deliberately single-threaded: it lives on the plan
 /// server's poll thread, which serializes every request (the same
-/// discipline the per-job BufferPool follows — TSan enforces it in the
-/// soak tests).
+/// discipline a JobInstance's colocated runs follow — TSan enforces it
+/// in the soak tests).
 #pragma once
 
 #include <cstdint>

@@ -22,7 +22,7 @@
 /// (HTTP/1.1 pipelining + BatchHandler + JobInstance::run_colocated)
 /// rather than to context-switch between worker threads. Every request
 /// is serialized through the poll thread, which is what makes the
-/// single-threaded PlanCache/JobQueue/BufferPool contracts sound.
+/// single-threaded PlanCache/JobQueue/JobInstance contracts sound.
 #pragma once
 
 #include <cstdint>

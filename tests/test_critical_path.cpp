@@ -20,7 +20,8 @@
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
 #include "core/text_format.hpp"
-#include "core/threaded_runtime.hpp"
+#include "core/job_instance.hpp"
+#include "core/worker_pool.hpp"
 #include "obs/flight_recorder.hpp"
 #include "sim/flight_adapter.hpp"
 #include "sim/trace.hpp"
@@ -121,7 +122,8 @@ TEST(CriticalPath, ThreadedRealizedPeriodDominatesPredictedMcm) {
   const core::ExecutablePlan plan = core::compile_plan(parsed.graph, parsed.assignment);
   ASSERT_NEAR(plan.predicted_mcm(), 500.0, 1e-6);
 
-  core::ThreadedRuntime runtime(plan);
+  core::JobInstance runtime(plan);
+  core::WorkerPool pool(runtime.proc_count());
   const df::Graph& graph = plan.vts.graph;
   for (df::ActorId a = 0; a < static_cast<df::ActorId>(graph.actor_count()); ++a) {
     const std::int64_t wcet_us = graph.actor(a).exec_cycles;
@@ -137,7 +139,7 @@ TEST(CriticalPath, ThreadedRealizedPeriodDominatesPredictedMcm) {
   obs::FlightRecorder recorder(static_cast<std::int32_t>(plan.proc_count));
   runtime.set_flight_recorder(&recorder);
   constexpr std::int64_t kIterations = 20;
-  runtime.run(kIterations);
+  runtime.run(pool, kIterations);
 
   const obs::FlightLog log = recorder.collect();
   EXPECT_EQ(log.dropped, 0);

@@ -1,12 +1,12 @@
 /// Cross-layer integration tests: invariants that tie the analysis
 /// layers (repetitions, sync graph, MCM, equations 1-2) to the execution
-/// layers (functional runtime, timed executor) on realistic systems.
+/// layers (colocated host engine, timed executor) on realistic systems.
 #include <gtest/gtest.h>
 
 #include "apps/particle_app.hpp"
 #include "apps/serialization.hpp"
 #include "apps/speech_app.hpp"
-#include "core/functional.hpp"
+#include "core/job_instance.hpp"
 #include "dsp/lpc.hpp"
 #include "mpi/mpi_backend.hpp"
 
@@ -58,9 +58,10 @@ TEST(Integration, MessageCountsAreBackendInvariant) {
 }
 
 TEST(Integration, FunctionalOccupancyWithinPlannedCapacity) {
-  // Run the speech app functionally and verify every BBS channel stayed
-  // within its equation-2 capacity (the channel would throw otherwise,
-  // but also check the recorded high-water marks explicitly).
+  // Run the speech app colocated and verify every BBS channel stayed
+  // within its equation-2 capacity (a colocated run throws rather than
+  // wait on a full channel, but also check the recorded high-water
+  // marks explicitly).
   apps::SpeechParams params;
   params.frame_size = 256;
   const apps::ErrorGenApp app(3, params);
@@ -68,10 +69,21 @@ TEST(Integration, FunctionalOccupancyWithinPlannedCapacity) {
   const auto frame = dsp::synthetic_speech(params.frame_size, rng);
   const apps::SpeechCompressor codec(params);
   const auto coeffs = codec.frame_coefficients(frame);
-  (void)app.compute_errors_parallel(frame, coeffs);
+  core::JobInstance instance(app.system().plan());
+  const std::vector<apps::ErrorGenApp::SpeechJobSpec> jobs{{frame, coeffs}, {frame, coeffs}};
+  (void)app.compute_errors_batch(jobs, instance);
+  instance.refresh_channel_gauges();
   for (const core::ChannelPlan& plan : app.system().channels()) {
     ASSERT_TRUE(plan.bbs_capacity_tokens.has_value());
     EXPECT_GE(*plan.bbs_capacity_tokens, 1);
+    const obs::Labels labels{{"channel", plan.name}};
+    const double watermark =
+        instance.metrics().gauge_value("spi_channel_high_watermark_tokens", labels);
+    EXPECT_GE(watermark, 1.0) << plan.name;
+    EXPECT_LE(watermark, static_cast<double>(*plan.bbs_capacity_tokens * plan.prod_tokens *
+                                                 plan.src_firings_per_iteration +
+                                             plan.delay_tokens))
+        << plan.name;
   }
 }
 
@@ -100,7 +112,7 @@ TEST(Integration, SystemConstructionIsDeterministic) {
 
 TEST(Integration, MultirateParallelEqualsSequential) {
   // A 1:3 expander and 3:1 collector across processors: parallel and
-  // single-processor functional runs must produce identical bytes.
+  // single-processor colocated runs must produce identical bytes.
   auto run = [](std::int32_t procs) {
     df::Graph g("multirate");
     const df::ActorId src = g.add_actor("Src");
@@ -114,7 +126,7 @@ TEST(Integration, MultirateParallelEqualsSequential) {
       assignment.assign(col, 2);
     }
     const core::SpiSystem system(g, assignment);
-    core::FunctionalRuntime runtime(system);
+    core::JobInstance runtime(system.plan());
     auto result = std::make_shared<std::vector<double>>();
     runtime.set_compute(src, [&](core::FiringContext& ctx) {
       ctx.outputs[ctx.output_index(e1)] = {
@@ -130,7 +142,7 @@ TEST(Integration, MultirateParallelEqualsSequential) {
       for (const auto& token : ctx.inputs[ctx.input_index(e2)])
         result->push_back(apps::unpack_f64(token).at(0));
     });
-    runtime.run(8);
+    runtime.run_colocated(8);
     return *result;
   };
   EXPECT_EQ(run(1), run(3));

@@ -40,6 +40,15 @@ TEST(Message, DynamicRoundTrip) {
   }
 }
 
+TEST(Message, WireBytesIncludeHeaders) {
+  // Wire size = payload + the mode's header: edge id (static), edge id
+  // + size (dynamic) — the per-message overhead the timed model charges.
+  EXPECT_EQ(static_cast<std::int64_t>(encode_static(1, make_payload(8)).size()),
+            8 + kStaticHeaderBytes);
+  EXPECT_EQ(static_cast<std::int64_t>(encode_dynamic(2, make_payload(8)).size()),
+            8 + kDynamicHeaderBytes);
+}
+
 TEST(Message, DynamicSizeHeaderValidated) {
   Bytes wire = encode_dynamic(3, make_payload(8));
   wire.pop_back();  // truncate the frame

@@ -18,7 +18,8 @@
 #include "apps/serialization.hpp"
 #include "apps/speech_app.hpp"
 #include "core/job_instance.hpp"
-#include "core/threaded_runtime.hpp"
+#include "core/job_instance.hpp"
+#include "core/worker_pool.hpp"
 #include "core/worker_pool.hpp"
 #include "dsp/lpc.hpp"
 #include "dsp/particle_filter.hpp"
@@ -58,8 +59,7 @@ struct PipelineFixture {
     system = std::make_unique<SpiSystem>(g, assignment);
   }
 
-  template <typename Runtime>
-  void wire(Runtime& runtime, std::vector<double>& sink) const {
+  void wire(JobInstance& runtime, std::vector<double>& sink) const {
     runtime.set_compute(src, [this](FiringContext& ctx) {
       const double v = static_cast<double>(ctx.invocation) * 1.25 + 0.5;
       ctx.outputs[ctx.output_index(first)] = {apps::pack_f64(std::vector<double>{v})};
@@ -76,10 +76,11 @@ struct PipelineFixture {
 
 TEST(PipelinedRuntime, NegativeInflightCapIsRejected) {
   PipelineFixture f;
-  ThreadedRuntime runtime(*f.system);
+  JobInstance runtime(f.system->plan());
+  WorkerPool pool(runtime.proc_count());
   std::vector<double> sink;
   f.wire(runtime, sink);
-  EXPECT_THROW(runtime.run(inflight(-1, 10)), std::invalid_argument);
+  EXPECT_THROW(runtime.run(pool, inflight(-1, 10)), std::invalid_argument);
 }
 
 TEST(PipelinedRuntime, PipelinedRunsAreBitIdenticalToColocatedAtEveryCap) {
@@ -95,10 +96,11 @@ TEST(PipelinedRuntime, PipelinedRunsAreBitIdenticalToColocatedAtEveryCap) {
   ASSERT_EQ(reference.size(), static_cast<std::size_t>(kIters));
 
   for (const std::int64_t cap : {1, 2, 4, 8, 0}) {  // 0 = unbounded
-    ThreadedRuntime runtime(*f.system);
+    JobInstance runtime(f.system->plan());
+    WorkerPool pool(runtime.proc_count());
     std::vector<double> sink;
     f.wire(runtime, sink);
-    runtime.run(inflight(cap, kIters));
+    runtime.run(pool, inflight(cap, kIters));
     EXPECT_EQ(sink, reference) << "max_inflight_iterations = " << cap;
   }
 }
@@ -108,12 +110,13 @@ TEST(PipelinedRuntime, InflightCapBoundsRealizedOverlap) {
   constexpr std::int64_t kIters = 64;
 
   for (const std::int64_t cap : {1, 4}) {
-    ThreadedRuntime runtime(*f.system);
+    JobInstance runtime(f.system->plan());
+    WorkerPool pool(runtime.proc_count());
     std::vector<double> sink;
     f.wire(runtime, sink);
     obs::FlightRecorder recorder(3);
     runtime.set_flight_recorder(&recorder);
-    runtime.run(inflight(cap, kIters));
+    runtime.run(pool, inflight(cap, kIters));
 
     const obs::CriticalPathReport report =
         obs::analyze_critical_path(recorder.collect());
@@ -142,11 +145,12 @@ TEST(PipelinedRuntime, HundredThousandIterationSoakStaysBitIdentical) {
     oracle.run_colocated(kIters);
   }
 
-  ThreadedRuntime runtime(*f.system);
+  JobInstance runtime(f.system->plan());
+  WorkerPool pool(runtime.proc_count());
   std::vector<double> sink;
   sink.reserve(kIters);
   f.wire(runtime, sink);
-  runtime.run(inflight(/*cap=*/4, kIters));
+  runtime.run(pool, inflight(/*cap=*/4, kIters));
   ASSERT_EQ(sink.size(), reference.size());
   EXPECT_EQ(sink, reference);
 }
@@ -266,7 +270,8 @@ TEST(PipelinedWatchdog, DeadEdgeAbortsPipelinedRunWithDeadlockVerdict) {
   core::ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  core::ThreadedRuntime runtime(*f.system, rel);
+  core::JobInstance runtime(f.system->plan(), {core::ChannelPolicy::kAuto, rel, nullptr, {}});
+  core::WorkerPool pool(runtime.proc_count());
   std::vector<double> sink;
   f.wire(runtime, sink);
 
@@ -276,7 +281,7 @@ TEST(PipelinedWatchdog, DeadEdgeAbortsPipelinedRunWithDeadlockVerdict) {
   options.watchdog.dump_dir = ::testing::TempDir();
 
   try {
-    runtime.run(options);
+    runtime.run(pool, options);
     FAIL() << "a dropped-forever edge must surface obs::StallError";
   } catch (const StallError& e) {
     const StallReport& report = e.report();

@@ -2,11 +2,13 @@
 /// randomized consistent dataflow systems, compile -> to_json ->
 /// from_json must reproduce the plan *exactly* — byte-identical
 /// re-serialization, and bit-identical execution on every engine
-/// (functional channel statistics, timed message counts and makespan)
+/// (colocated channel statistics, timed message counts and makespan)
 /// when the deserialized plan is run instead of the compiled one.
 #include <gtest/gtest.h>
 
-#include "core/functional.hpp"
+#include <memory>
+
+#include "core/job_instance.hpp"
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
 #include "dsp/rng.hpp"
@@ -93,22 +95,37 @@ TEST_P(PlanRoundTrip, SerializeDeserializeRunIdentical) {
     EXPECT_EQ(loaded.messages_per_iteration, compiled.messages_per_iteration);
     ASSERT_EQ(loaded.channels.size(), compiled.channels.size());
 
-    // Functional execution of both plans with the default computes:
-    // every channel must carry the same messages and the same bytes.
-    core::FunctionalRuntime original(compiled);
-    core::FunctionalRuntime reloaded(loaded);
-    original.run(4);
-    reloaded.run(4);
-    ASSERT_EQ(original.channels().size(), reloaded.channels().size());
-    for (const auto& [edge, channel] : original.channels()) {
-      const core::SpiChannel& other = reloaded.channel(edge);
-      EXPECT_EQ(other.stats().messages, channel.stats().messages)
-          << "seed " << GetParam() << " edge " << edge;
-      EXPECT_EQ(other.stats().payload_bytes, channel.stats().payload_bytes)
-          << "seed " << GetParam() << " edge " << edge;
+    // Colocated execution of both plans with full-rate zero tokens:
+    // every channel must carry the same messages and the same bytes, and
+    // every actor must fire equally often.
+    const auto run = [](const core::ExecutablePlan& plan, std::vector<std::int64_t>& fired) {
+      auto job = std::make_unique<core::JobInstance>(plan);
+      const df::Graph& graph = plan.vts.graph;
+      fired.assign(graph.actor_count(), 0);
+      for (df::ActorId a = 0; a < static_cast<df::ActorId>(graph.actor_count()); ++a)
+        job->set_compute(a, [&graph, &fired, a](core::FiringContext& ctx) {
+          ++fired[static_cast<std::size_t>(a)];
+          for (std::size_t i = 0; i < ctx.out_edges.size(); ++i) {
+            const df::Edge& e = graph.edge(ctx.out_edges[i]);
+            ctx.outputs[i].assign(static_cast<std::size_t>(e.prod.value()),
+                                  core::Bytes(static_cast<std::size_t>(e.token_bytes), 0));
+          }
+        });
+      job->run_colocated(4);
+      return job;
+    };
+    std::vector<std::int64_t> fired_original, fired_reloaded;
+    const auto original = run(compiled, fired_original);
+    const auto reloaded = run(loaded, fired_reloaded);
+    for (const core::ChannelSpec& spec : compiled.channels) {
+      EXPECT_EQ(reloaded->channel_traffic(spec.edge).messages,
+                original->channel_traffic(spec.edge).messages)
+          << "seed " << GetParam() << " edge " << spec.edge;
+      EXPECT_EQ(reloaded->channel_traffic(spec.edge).payload_bytes,
+                original->channel_traffic(spec.edge).payload_bytes)
+          << "seed " << GetParam() << " edge " << spec.edge;
     }
-    for (df::ActorId a = 0; a < static_cast<df::ActorId>(rs.graph.actor_count()); ++a)
-      EXPECT_EQ(reloaded.invocations(a), original.invocations(a));
+    EXPECT_EQ(fired_reloaded, fired_original);
 
     // Timed execution from each plan's own backend: identical message
     // counts, wire bytes and makespan.

@@ -6,7 +6,7 @@
 /// interactions no hand-written test enumerates.
 #include <gtest/gtest.h>
 
-#include "core/functional.hpp"
+#include "core/job_instance.hpp"
 #include "core/spi_system.hpp"
 #include "dsp/rng.hpp"
 #include "mpi/mpi_backend.hpp"
@@ -103,9 +103,10 @@ TEST_P(RandomSystems, FullPipelineInvariants) {
       EXPECT_GE(plan.acks_total, plan.acks_elided);
     }
 
-    // Functional execution with default (zero-token) computes.
-    core::FunctionalRuntime runtime(*system);
-    EXPECT_NO_THROW(runtime.run(3));
+    // Colocated execution with default (zero-token) computes: the
+    // plan's capacities must admit its PASS (a wait would throw).
+    core::JobInstance runtime(system->plan());
+    EXPECT_NO_THROW(runtime.run_colocated(3));
 
     // Timed execution: completes, deterministic, occupancy within bounds,
     // message counts backend-invariant.
@@ -156,8 +157,8 @@ TEST(LargeSystem, HundredsOfActorsCompileAndRun) {
   const sim::ExecStats stats = system.run_timed(options);
   EXPECT_GT(stats.makespan, 0);
 
-  core::FunctionalRuntime runtime(system);
-  EXPECT_NO_THROW(runtime.run(3));
+  core::JobInstance runtime(system.plan());
+  EXPECT_NO_THROW(runtime.run_colocated(3));
 }
 
 }  // namespace

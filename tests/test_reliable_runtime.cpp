@@ -1,15 +1,16 @@
-/// End-to-end tests of the reliable transport inside ThreadedRuntime:
+/// End-to-end tests of the reliable transport inside a gang run:
 /// retry recovery under deterministic fault injection, typed failure on
 /// persistent faults (no hangs), CRC-driven retransmission, receive
 /// timeouts, duplicate suppression, metric publication, and the seeded
-/// soak test asserting threaded-lossy / functional-lossless parity.
+/// soak test asserting gang-lossy / colocated-lossless parity.
 #include <gtest/gtest.h>
 
 #include <chrono>
 
 #include "apps/serialization.hpp"
 #include "apps/speech_app.hpp"
-#include "core/threaded_runtime.hpp"
+#include "core/job_instance.hpp"
+#include "core/worker_pool.hpp"
 #include "dsp/lpc.hpp"
 
 namespace spi::core {
@@ -31,8 +32,7 @@ struct Fixture {
     assignment.assign(dst, 2);
   }
 
-  template <class Runtime>
-  void wire(Runtime& runtime, std::vector<double>& sink) const {
+  void wire(JobInstance& runtime, std::vector<double>& sink) const {
     runtime.set_compute(src, [this](FiringContext& ctx) {
       const std::size_t count = static_cast<std::size_t>(ctx.invocation % 8) + 1;
       std::vector<double> values(count);
@@ -72,9 +72,9 @@ TEST(ReliableRuntime, DropsAreRetriedAndRecovered) {
 
   std::vector<double> lossless;
   {
-    FunctionalRuntime functional(system);
-    f.wire(functional, lossless);
-    functional.run(kIters);
+    JobInstance colocated(system.plan());
+    f.wire(colocated, lossless);
+    colocated.run_colocated(kIters);
   }
 
   sim::FaultPlan plan(42);
@@ -86,10 +86,11 @@ TEST(ReliableRuntime, DropsAreRetriedAndRecovered) {
   ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  ThreadedRuntime runtime(system, rel);
+  JobInstance runtime(system.plan(), {ChannelPolicy::kAuto, rel, nullptr, {}});
+  WorkerPool pool(runtime.proc_count());
   std::vector<double> lossy;
   f.wire(runtime, lossy);
-  runtime.run(kIters);
+  runtime.run(pool, kIters);
 
   // Every payload recovered, in order, bit-identical to the lossless run.
   EXPECT_EQ(lossy, lossless);
@@ -115,13 +116,14 @@ TEST(ReliableRuntime, PersistentDropFailsTypedWithinDeadline) {
   ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  ThreadedRuntime runtime(system, rel);
+  JobInstance runtime(system.plan(), {ChannelPolicy::kAuto, rel, nullptr, {}});
+  WorkerPool pool(runtime.proc_count());
   std::vector<double> sink;
   f.wire(runtime, sink);
 
   const auto start = std::chrono::steady_clock::now();
   try {
-    runtime.run(50);
+    runtime.run(pool, 50);
     FAIL() << "a 100%-drop edge must surface sim::ChannelError";
   } catch (const sim::ChannelError& e) {
     EXPECT_EQ(e.kind(), sim::ChannelErrorKind::kRetriesExhausted);
@@ -142,9 +144,9 @@ TEST(ReliableRuntime, CorruptionIsCaughtByCrcAndRetried) {
 
   std::vector<double> lossless;
   {
-    FunctionalRuntime functional(system);
-    f.wire(functional, lossless);
-    functional.run(kIters);
+    JobInstance colocated(system.plan());
+    f.wire(colocated, lossless);
+    colocated.run_colocated(kIters);
   }
 
   sim::FaultPlan plan(99);
@@ -156,10 +158,11 @@ TEST(ReliableRuntime, CorruptionIsCaughtByCrcAndRetried) {
   ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  ThreadedRuntime runtime(system, rel);
+  JobInstance runtime(system.plan(), {ChannelPolicy::kAuto, rel, nullptr, {}});
+  WorkerPool pool(runtime.proc_count());
   std::vector<double> lossy;
   f.wire(runtime, lossy);
-  runtime.run(kIters);
+  runtime.run(pool, kIters);
 
   EXPECT_EQ(lossy, lossless);  // no corrupted payload ever surfaced
   EXPECT_GT(runtime.stats().crc_failures, 0);
@@ -189,11 +192,12 @@ TEST(ReliableRuntime, DelayBeyondDeadlineTimesOutTyped) {
   ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  ThreadedRuntime runtime(system, rel);
+  JobInstance runtime(system.plan(), {ChannelPolicy::kAuto, rel, nullptr, {}});
+  WorkerPool pool(runtime.proc_count());
 
   const auto start = std::chrono::steady_clock::now();
   try {
-    runtime.run(5);
+    runtime.run(pool, 5);
     FAIL() << "a delayed wire must surface a receive timeout";
   } catch (const sim::ChannelError& e2) {
     EXPECT_EQ(e2.kind(), sim::ChannelErrorKind::kReceiveTimeout);
@@ -210,9 +214,9 @@ TEST(ReliableRuntime, DuplicatesAreSuppressed) {
 
   std::vector<double> lossless;
   {
-    FunctionalRuntime functional(system);
-    f.wire(functional, lossless);
-    functional.run(kIters);
+    JobInstance colocated(system.plan());
+    f.wire(colocated, lossless);
+    colocated.run_colocated(kIters);
   }
 
   sim::FaultPlan plan(5);
@@ -224,10 +228,11 @@ TEST(ReliableRuntime, DuplicatesAreSuppressed) {
   ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  ThreadedRuntime runtime(system, rel);
+  JobInstance runtime(system.plan(), {ChannelPolicy::kAuto, rel, nullptr, {}});
+  WorkerPool pool(runtime.proc_count());
   std::vector<double> lossy;
   f.wire(runtime, lossy);
-  runtime.run(kIters);
+  runtime.run(pool, kIters);
 
   EXPECT_EQ(lossy, lossless);  // each payload surfaced exactly once
   EXPECT_GT(runtime.stats().duplicates, 0);
@@ -241,16 +246,18 @@ TEST(ReliableRuntime, ReliabilityWithoutPlanIsTransparent) {
 
   std::vector<double> plain, framed;
   {
-    ThreadedRuntime runtime(system);
+    JobInstance runtime(system.plan());
+    WorkerPool pool(runtime.proc_count());
     f.wire(runtime, plain);
-    runtime.run(kIters);
+    runtime.run(pool, kIters);
   }
   {
     ReliabilityOptions rel;
     rel.enabled = true;  // sequenced CRC framing over a perfect wire
-    ThreadedRuntime runtime(system, rel);
+    JobInstance runtime(system.plan(), {ChannelPolicy::kAuto, rel, nullptr, {}});
+    WorkerPool pool(runtime.proc_count());
     f.wire(runtime, framed);
-    runtime.run(kIters);
+    runtime.run(pool, kIters);
     EXPECT_EQ(runtime.stats().retries, 0);
     EXPECT_EQ(runtime.stats().crc_failures, 0);
     EXPECT_EQ(runtime.stats().timeouts, 0);
@@ -273,10 +280,11 @@ TEST(ReliableRuntime, MetricsPublishedToSharedRegistry) {
   rel.enabled = true;
   rel.faults = &plan;
   obs::MetricRegistry registry;
-  ThreadedRuntime runtime(system, rel, &registry);
+  JobInstance runtime(system.plan(), {ChannelPolicy::kAuto, rel, &registry, {}});
+  WorkerPool pool(runtime.proc_count());
   std::vector<double> sink;
   f.wire(runtime, sink);
-  runtime.run(100);
+  runtime.run(pool, 100);
 
   EXPECT_EQ(registry.counter_total("spi_reliable_retries_total"), runtime.stats().retries);
   EXPECT_EQ(registry.counter_total("spi_reliable_dropped_frames_total"),
@@ -307,9 +315,10 @@ TEST(ReliableRuntime, SeededSoakRunsAreReproducible) {
     ReliabilityOptions rel;
     rel.enabled = true;
     rel.faults = &plan;
-    ThreadedRuntime runtime(system, rel);
+    JobInstance runtime(system.plan(), {ChannelPolicy::kAuto, rel, nullptr, {}});
+    WorkerPool pool(runtime.proc_count());
     f.wire(runtime, sink);
-    runtime.run(300);
+    runtime.run(pool, 300);
     stats = runtime.stats();
   };
 

@@ -9,7 +9,7 @@
 
 #include "apps/particle_app.hpp"
 #include "apps/speech_app.hpp"
-#include "core/threaded_runtime.hpp"
+#include "core/job_instance.hpp"
 #include "dsp/particle_filter.hpp"
 #include "obs/flight_recorder.hpp"
 
@@ -63,6 +63,46 @@ TEST(SpscChannel, WraparoundPreservesFifoOrderAndBytes) {
     ASSERT_EQ(out, token) << "token " << i;
   }
   EXPECT_EQ(channel.size(), 0u);
+}
+
+TEST(SpscChannel, StaticFifoRoundTrip) {
+  SpscChannel channel(/*edge=*/1, /*capacity=*/4, /*frame_bound=*/8);
+  const Bytes a{1, 2, 3, 4, 5, 6, 7, 8};
+  const Bytes b{9, 10, 11, 12, 13, 14, 15, 16};
+  channel.push({a.data(), a.size()});
+  channel.push({b.data(), b.size()});
+  EXPECT_EQ(channel.size(), 2u);
+  Bytes out;
+  channel.pop_into(out);
+  EXPECT_EQ(out, a);  // FIFO order, exact sizes
+  channel.pop_into(out);
+  EXPECT_EQ(out, b);
+  std::span<const std::uint8_t> front;
+  EXPECT_FALSE(channel.try_front(front));
+}
+
+TEST(SpscChannel, DynamicPayloadsVaryUpToBmax) {
+  // A VTS-converted edge: frames vary per message up to b_max.
+  SpscChannel channel(/*edge=*/2, /*capacity=*/8, /*frame_bound=*/32);
+  const Bytes empty;
+  const Bytes full(32, 0xAB);
+  channel.push({empty.data(), empty.size()});
+  channel.push({full.data(), full.size()});
+  Bytes out(5, 0);
+  channel.pop_into(out);
+  EXPECT_EQ(out.size(), 0u);
+  channel.pop_into(out);
+  EXPECT_EQ(out, full);
+  const Bytes over(33, 0);
+  EXPECT_THROW(channel.push({over.data(), over.size()}), std::length_error);
+}
+
+TEST(SpscChannel, ConfigValidation) {
+  EXPECT_THROW(SpscChannel(/*edge=*/-1, 4, 8), std::invalid_argument);
+  // Zero capacity / frame bound clamp to one slot of one byte.
+  const SpscChannel clamped(/*edge=*/0, 0, 0);
+  EXPECT_EQ(clamped.capacity(), 1u);
+  EXPECT_EQ(clamped.frame_bound(), 1u);
 }
 
 TEST(SpscChannel, FrameBoundViolationsThrow) {
@@ -230,29 +270,31 @@ TEST(SpscChannel, FlightEventsRecordSendReceiveAndParkOnlyBlocks) {
   EXPECT_EQ(blocks, 0);
 }
 
-TEST(ThreadedRuntimeChannels, PolicySelectsSpscForPlainEdges) {
+TEST(GangRunChannels, PolicySelectsSpscForPlainEdges) {
   apps::SpeechParams params;
   params.frame_size = 64;
   params.max_frame_size = 256;
   const apps::ErrorGenApp app(2, params);
 
-  const ThreadedRuntime auto_rt(app.system().plan(), ChannelPolicy::kAuto);
+  const JobInstance auto_rt(app.system().plan(), {ChannelPolicy::kAuto, {}, nullptr, {}});
   EXPECT_GT(auto_rt.spsc_channel_count(), 0);
 
-  const ThreadedRuntime blocking_rt(app.system().plan(), ChannelPolicy::kBlockingOnly);
+  const JobInstance blocking_rt(app.system().plan(),
+                                {ChannelPolicy::kBlockingOnly, {}, nullptr, {}});
   EXPECT_EQ(blocking_rt.spsc_channel_count(), 0);
 
   // Reliability claims its edges for the blocking protocol channel even
   // under kAuto.
   ReliabilityOptions reliability;
   reliability.enabled = true;
-  const ThreadedRuntime reliable_rt(app.system().plan(), ChannelPolicy::kAuto, reliability);
+  const JobInstance reliable_rt(app.system().plan(),
+                                {ChannelPolicy::kAuto, reliability, nullptr, {}});
   EXPECT_EQ(reliable_rt.spsc_channel_count(), 0);
 }
 
 /// Plan-parity: the speech app produces bit-identical error values on
 /// the SPSC path, the blocking fallback and the sequential reference.
-TEST(ThreadedRuntimeChannels, SpeechAppBitIdenticalAcrossChannelPolicies) {
+TEST(GangRunChannels, SpeechAppBitIdenticalAcrossChannelPolicies) {
   apps::SpeechParams params;
   params.frame_size = 128;
   params.max_frame_size = 512;
@@ -280,8 +322,8 @@ TEST(ThreadedRuntimeChannels, SpeechAppBitIdenticalAcrossChannelPolicies) {
 
 /// Plan-parity on the second application: distributed particle tracking
 /// produces bit-identical estimates on both channel implementations and
-/// the sequential functional engine.
-TEST(ThreadedRuntimeChannels, ParticleAppBitIdenticalAcrossChannelPolicies) {
+/// the sequential colocated run.
+TEST(GangRunChannels, ParticleAppBitIdenticalAcrossChannelPolicies) {
   apps::ParticleParams params;
   params.particles = 64;
   params.max_particles = 128;

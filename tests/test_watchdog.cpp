@@ -15,7 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "core/threaded_runtime.hpp"
+#include "core/job_instance.hpp"
+#include "core/worker_pool.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/json_lint.hpp"
 #include "obs/watchdog.hpp"
@@ -187,7 +188,7 @@ struct Fixture {
     assignment.assign(dst, 2);
   }
 
-  void wire(ThreadedRuntime& runtime) const {
+  void wire(JobInstance& runtime) const {
     runtime.set_compute(src, [this](FiringContext& ctx) {
       ctx.outputs[ctx.output_index(first)] = {std::vector<std::uint8_t>(sizeof(double))};
     });
@@ -214,7 +215,8 @@ sim::RetryPolicy stubborn_policy() {
 TEST(WatchdogRuntime, HealthyRunNeverFires) {
   Fixture f;
   const SpiSystem system(f.g, f.assignment);
-  ThreadedRuntime runtime(system);
+  JobInstance runtime(system.plan());
+  WorkerPool pool(runtime.proc_count());
   f.wire(runtime);
 
   std::atomic<int> fired{0};
@@ -223,7 +225,7 @@ TEST(WatchdogRuntime, HealthyRunNeverFires) {
   options.watchdog.enabled = true;
   options.watchdog.window_ms = 2000;
   options.watchdog.on_stall = [&](const obs::StallReport&) { fired.fetch_add(1); };
-  runtime.run(options);
+  runtime.run(pool, options);
   EXPECT_EQ(fired.load(), 0);
   EXPECT_EQ(runtime.stats().messages, 2 * 200);
 }
@@ -246,7 +248,8 @@ TEST(WatchdogRuntime, DeadEdgeDeadlockIsDetectedClassifiedAndDumped) {
   ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  ThreadedRuntime runtime(system, rel);
+  JobInstance runtime(system.plan(), {ChannelPolicy::kAuto, rel, nullptr, {}});
+  WorkerPool pool(runtime.proc_count());
   f.wire(runtime);
 
   const std::string dir = ::testing::TempDir();
@@ -262,7 +265,7 @@ TEST(WatchdogRuntime, DeadEdgeDeadlockIsDetectedClassifiedAndDumped) {
 
   const auto start = std::chrono::steady_clock::now();
   try {
-    runtime.run(options);
+    runtime.run(pool, options);
     FAIL() << "a dropped-forever edge must surface obs::StallError";
   } catch (const obs::StallError& e) {
     const obs::StallReport& report = e.report();
@@ -320,7 +323,8 @@ TEST(WatchdogRuntime, NonAbortingWatchdogObservesStallAndLetsTransportFail) {
   ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  ThreadedRuntime runtime(system, rel);
+  JobInstance runtime(system.plan(), {ChannelPolicy::kAuto, rel, nullptr, {}});
+  WorkerPool pool(runtime.proc_count());
   f.wire(runtime);
 
   std::atomic<int> fired{0};
@@ -337,7 +341,7 @@ TEST(WatchdogRuntime, NonAbortingWatchdogObservesStallAndLetsTransportFail) {
 
   // The watchdog observes but does not abort: the run ends when the
   // reliable transport exhausts its retries, with the usual typed error.
-  EXPECT_THROW(runtime.run(options), sim::ChannelError);
+  EXPECT_THROW(runtime.run(pool, options), sim::ChannelError);
   EXPECT_GE(fired.load(), 1);
   std::remove((::testing::TempDir() + "/spi_stall.deadlock.json").c_str());
 }

@@ -2,9 +2,8 @@
 /// WorkerPool gang scheduling (all-or-nothing, FIFO, reusable), the
 /// JobInstance gang/colocated equivalence, and the isolation contracts
 /// that make concurrent job instances sound — separate channel slabs
-/// per JobInstance and a per-runtime SpiChannel buffer pool, so two
-/// concurrent jobs can never cross-recycle each other's Bytes buffers
-/// (run under TSan in CI).
+/// and firing contexts per JobInstance, so two concurrent jobs can never
+/// share each other's Bytes buffers (run under TSan in CI).
 #include "core/worker_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -177,11 +176,10 @@ TEST(JobInstance, ConcurrentInstancesOfOnePlanStayIsolated) {
   EXPECT_EQ(sink_b, reference);
 }
 
-/// Regression for the per-runtime SpiChannel buffer pool: two
-/// FunctionalRuntime-backed jobs running concurrently must not recycle
-/// each other's Bytes buffers. Before the pool became per-runtime state
-/// this raced; now each runtime owns its freelist, and this test (run
-/// under TSan in CI) pins the isolation.
+/// Two colocated jobs (compute_errors_parallel builds one JobInstance
+/// per call) running concurrently must not share each other's Bytes
+/// buffers: each instance owns its channel slabs and firing contexts,
+/// and this test (run under TSan in CI) pins the isolation.
 TEST(JobInstance, ConcurrentFunctionalJobsDoNotCrossRecycleBuffers) {
   apps::SpeechParams params;
   params.frame_size = 64;

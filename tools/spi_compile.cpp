@@ -27,6 +27,8 @@
 ///   spi_compile --run 500 --mpi system.spi      # ... under the MPI baseline
 ///   spi_compile --run-threads 500 system.spi    # real-thread run (default computes)
 ///   spi_compile --run 500 --trace-out t.json s  # Chrome trace (Perfetto) of the run
+///                                               # (threaded: the flight log's firing
+///                                               # and wait slices + critical path)
 ///   spi_compile --run-threads 500 --flight-out f.json s
 ///                                               # causal flight-recorder dump, fed to
 ///                                               # spi_trace_analyze (bottleneck report)
@@ -70,13 +72,13 @@
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
 #include "core/text_format.hpp"
-#include "core/threaded_runtime.hpp"
+#include "core/job_instance.hpp"
+#include "core/worker_pool.hpp"
 #include "dataflow/dot.hpp"
 #include "mpi/mpi_backend.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/runtime_trace.hpp"
 #include "sched/sync_dot.hpp"
 #include "sim/fault.hpp"
 #include "sim/flight_adapter.hpp"
@@ -453,16 +455,18 @@ int main(int argc, char** argv) {
       spi::core::ReliabilityOptions rel;
       rel.enabled = reliability;
       rel.faults = fault_plan ? &*fault_plan : nullptr;
-      spi::core::ThreadedRuntime runtime(plan, rel, &registry);
-      spi::obs::RuntimeTraceRecorder recorder;
-      if (!trace_out.empty()) runtime.set_trace(&recorder);
+      spi::core::JobInstance runtime(
+          plan, {spi::core::ChannelPolicy::kAuto, rel, &registry, {}});
+      spi::core::WorkerPool pool(runtime.proc_count());
+      // One flight recorder serves both outputs: --flight-out dumps its
+      // log, --trace-out renders the same log as Chrome trace JSON.
       std::optional<spi::obs::FlightRecorder> flight;
       const std::string flight_path = engine_path(flight_out, "wallclock", both_engines);
-      if (!flight_out.empty()) {
+      if (!flight_out.empty() || !trace_out.empty()) {
         flight.emplace(static_cast<std::int32_t>(plan.proc_count));
         // On a ChannelError the runtime dumps the log post-mortem to the
         // same path the success case would have used.
-        flight->set_postmortem_path(flight_path);
+        if (!flight_out.empty()) flight->set_postmortem_path(flight_path);
         runtime.set_flight_recorder(&*flight);
       }
       spi::core::RunOptions run_options;
@@ -481,12 +485,12 @@ int main(int argc, char** argv) {
         run_options.watchdog.window_ms = watchdog_ms;
       }
       try {
-        runtime.run(run_options);
+        runtime.run(pool, run_options);
       } catch (const spi::sim::ChannelError& e) {
         // Graceful degradation: the reliable transport gave up on one
         // channel within its deadline instead of hanging the pipeline.
         std::fprintf(stderr, "spi_compile: %s\n", e.what());
-        if (flight) flight->publish_metrics(registry);
+        if (!flight_out.empty()) flight->publish_metrics(registry);
         if (metrics)
           std::printf("%s", metrics_format == "json" ? registry.to_json().c_str()
                                                      : registry.to_prometheus().c_str());
@@ -496,7 +500,7 @@ int main(int argc, char** argv) {
         // blocking channel are on stderr, the post-mortems are on disk
         // (spi_stall.<kind>.json + the flight dump when --flight-out).
         std::fprintf(stderr, "spi_compile: %s\n", e.what());
-        if (flight) flight->publish_metrics(registry);
+        if (!flight_out.empty()) flight->publish_metrics(registry);
         if (metrics)
           std::printf("%s", metrics_format == "json" ? registry.to_json().c_str()
                                                      : registry.to_prometheus().c_str());
@@ -526,29 +530,32 @@ int main(int argc, char** argv) {
                      static_cast<long long>(ts.duplicates),
                      static_cast<long long>(ts.timeouts),
                      static_cast<long long>(ts.backoff_micros));
-      if (!trace_out.empty() &&
-          !write_file(engine_path(trace_out, "wallclock", both_engines),
-                      recorder.to_chrome_trace_json()))
-        return 1;
       if (flight) {
         const spi::obs::FlightLog log = flight->collect();
-        if (!write_file(flight_path, log.to_json())) return 1;
         // Wall-clock time and the plan's cycle-domain MCM have no fixed
         // exchange rate for the default computes, so the predicted MCM is
         // left unknown here; spi_trace_analyze accepts an explicit
         // --mcm-scale when the mapping is known.
         const spi::obs::CriticalPathReport cp = spi::obs::analyze_critical_path(log);
-        cp.publish_metrics(registry);
-        flight->publish_metrics(registry);
-        std::fprintf(report_out,
-                     "  critical path   : %lld ns (compute %lld, blocked %lld, "
-                     "comm %lld, idle %lld; %lld events, %lld dropped)\n",
-                     static_cast<long long>(cp.cp_length), static_cast<long long>(cp.cp_compute),
-                     static_cast<long long>(cp.cp_blocked), static_cast<long long>(cp.cp_comm),
-                     static_cast<long long>(cp.cp_idle), static_cast<long long>(cp.events),
-                     static_cast<long long>(cp.dropped));
-        if (!cp.bottleneck_channel.empty())
-          std::fprintf(report_out, "  bottleneck      : %s\n", cp.bottleneck_channel.c_str());
+        if (!trace_out.empty() &&
+            !write_file(engine_path(trace_out, "wallclock", both_engines),
+                        cp.to_chrome_trace_json(log)))
+          return 1;
+        if (!flight_out.empty()) {
+          if (!write_file(flight_path, log.to_json())) return 1;
+          cp.publish_metrics(registry);
+          flight->publish_metrics(registry);
+          std::fprintf(report_out,
+                       "  critical path   : %lld ns (compute %lld, blocked %lld, "
+                       "comm %lld, idle %lld; %lld events, %lld dropped)\n",
+                       static_cast<long long>(cp.cp_length),
+                       static_cast<long long>(cp.cp_compute),
+                       static_cast<long long>(cp.cp_blocked), static_cast<long long>(cp.cp_comm),
+                       static_cast<long long>(cp.cp_idle), static_cast<long long>(cp.events),
+                       static_cast<long long>(cp.dropped));
+          if (!cp.bottleneck_channel.empty())
+            std::fprintf(report_out, "  bottleneck      : %s\n", cp.bottleneck_channel.c_str());
+        }
       }
     }
 
