@@ -51,10 +51,10 @@ namespace spi::obs {
 /// on spi_serve_stage_* series.
 enum class RequestStage : std::uint8_t {
   kAdmission = 0,  ///< burst ingest -> parse + admission verdict + enqueue
-  kQueue = 1,      ///< enqueue -> tenant queue drain start
+  kQueue = 1,      ///< enqueue -> burst drain start (all tenants)
   kBatch = 2,      ///< drain start -> batch formed (drain-time parsing)
-  kExec = 3,       ///< batch formed -> colocated gang firing returned
-  kReply = 4,      ///< firing returned -> response bodies written
+  kExec = 3,       ///< batch formed -> firing returned, bodies rendered
+  kReply = 4,      ///< firing returned -> HTTP responses filled in
 };
 inline constexpr std::size_t kRequestStageCount = 5;
 

@@ -1,12 +1,14 @@
 /// \file job_queue.hpp
 /// Per-tenant job queues for the plan server (docs/serving.md).
 ///
-/// Jobs admitted from one HTTP read burst are queued per tenant, then
-/// drained app by app so each drain is ONE batched firing: N queued
-/// speech jobs become N colocated graph iterations through one
-/// JobInstance — one program traversal amortized over the whole batch
-/// (dataflow determinacy makes the per-job results bit-identical to N
-/// separate runs; the serve tests assert it).
+/// Jobs admitted from one HTTP read burst are queued per tenant, so
+/// admission (queue depth), watermarks and served counts stay per
+/// tenant. The server then drains every tenant's queue into ONE batched
+/// firing per (model, batch key) for the whole burst: N queued speech
+/// jobs, whichever tenants sent them, become N colocated graph
+/// iterations through one JobInstance — one program traversal amortized
+/// over the whole batch (dataflow determinacy makes the per-job results
+/// bit-identical to N separate runs; the serve tests assert it).
 ///
 /// Single-threaded like the rest of the serve layer: queues live on the
 /// server's poll thread.
@@ -20,13 +22,14 @@
 namespace spi::serve {
 
 /// One admitted job waiting for its batch: which burst slot to answer,
-/// which app to run, and the raw request body (parsed at drain time).
+/// which served model runs it, and the raw request body (parsed at drain
+/// time).
 /// The trace fields are the job's request-lifecycle context
 /// (obs/request_trace.hpp): span id plus the ingest and enqueue stamps,
 /// carried through the queue so the drain can attribute queue wait.
 struct QueuedJob {
   std::size_t request_index = 0;  ///< slot in the burst's response vector
-  std::string app;                ///< "speech" or "particle"
+  std::size_t model = 0;          ///< index into the server's models
   std::string body;               ///< request JSON
   std::uint64_t span_id = 0;      ///< 0 = untraced
   std::int64_t ingest_ns = 0;     ///< burst entry (tracer clock)

@@ -1,53 +1,20 @@
 #include "serve/plan_server.hpp"
 
+#include <algorithm>
 #include <chrono>
-#include <cstdio>
+#include <initializer_list>
 #include <stdexcept>
+#include <utility>
 
 #include "core/job_instance.hpp"
-#include "dsp/particle_filter.hpp"
-#include "dsp/rng.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/text_escape.hpp"
 #include "serve/request.hpp"
+#include "serve/served_model.hpp"
 
 namespace spi::serve {
 
 namespace {
-
-/// Deterministic synthetic speech frame: a splitmix-style stream keyed
-/// by the job seed, so identical requests produce identical jobs (the
-/// loadgen relies on this for cheap request bodies).
-std::vector<double> synth_frame(std::uint64_t seed, std::size_t n) {
-  std::vector<double> frame(n);
-  std::uint64_t x = seed * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    x = x * 6364136223846793005ull + 1442695040888963407ull;
-    frame[i] = static_cast<double>((x >> 33) % 2000) / 1000.0 - 1.0;
-  }
-  return frame;
-}
-
-std::vector<double> synth_coeffs(std::size_t order) {
-  std::vector<double> coeffs(order);
-  for (std::size_t j = 0; j < order; ++j) coeffs[j] = 0.5 / static_cast<double>(j + 1);
-  return coeffs;
-}
-
-void append_double(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-void append_doubles(std::string& out, std::span<const double> values) {
-  out += '[';
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ',';
-    append_double(out, values[i]);
-  }
-  out += ']';
-}
 
 obs::HttpResponse json_response(int status, std::string body) {
   obs::HttpResponse response;
@@ -71,50 +38,22 @@ std::string_view path_of(const obs::HttpRequest& request) {
   return query == std::string_view::npos ? target : target.substr(0, query);
 }
 
-// Stage indices into RequestSpan::stage_ns (request_trace.hpp).
-constexpr auto kStAdmission = static_cast<std::size_t>(obs::RequestStage::kAdmission);
-constexpr auto kStQueue = static_cast<std::size_t>(obs::RequestStage::kQueue);
-constexpr auto kStBatch = static_cast<std::size_t>(obs::RequestStage::kBatch);
-constexpr auto kStExec = static_cast<std::size_t>(obs::RequestStage::kExec);
-constexpr auto kStReply = static_cast<std::size_t>(obs::RequestStage::kReply);
+/// A span whose successive stages (admission, queue, batch, exec,
+/// reply) end at `stage_ends`; stages past the last stamp stay zero.
+/// Stages tile the request by construction: each starts where the last
+/// one ended.
+obs::RequestSpan span_ending(int status, std::int64_t ingest_ns,
+                             std::initializer_list<std::int64_t> stage_ends) {
+  obs::RequestSpan span;
+  span.status = status;
+  span.ingest_ns = ingest_ns;
+  std::int64_t* stage = span.stage_ns;
+  for (std::int64_t start = ingest_ns; const std::int64_t end : stage_ends)
+    *stage++ = end - std::exchange(start, end);
+  return span;
+}
 
 }  // namespace
-
-/// A built-in model: the app, one persistent JobInstance executing every
-/// batch, and that instance's flight recorder (armed continuously when
-/// the stall watchdog may dump a post-mortem, else only around the
-/// trace bridge's captured batches).
-struct PlanServer::SpeechModel {
-  apps::ErrorGenApp app;
-  obs::FlightRecorder flight;
-  core::JobInstance instance;
-  core::RunOptions run_options;
-
-  SpeechModel(const PlanServerOptions& options, obs::MetricRegistry* metrics)
-      : app(options.speech_pes, options.speech_params),
-        flight(app.system().plan().proc_count),
-        instance(app.system().plan(),
-                 core::JobInstanceOptions{
-                     core::ChannelPolicy::kAuto, {}, metrics, "speech"}) {
-    instance.set_flight_recorder(&flight);
-  }
-};
-
-struct PlanServer::ParticleModel {
-  apps::ParticleFilterApp app;
-  obs::FlightRecorder flight;
-  core::JobInstance instance;
-  core::RunOptions run_options;
-
-  ParticleModel(const PlanServerOptions& options, obs::MetricRegistry* metrics)
-      : app(options.particle_pes, options.particle_params),
-        flight(app.system().plan().proc_count),
-        instance(app.system().plan(),
-                 core::JobInstanceOptions{
-                     core::ChannelPolicy::kAuto, {}, metrics, "particle"}) {
-    instance.set_flight_recorder(&flight);
-  }
-};
 
 PlanServer::PlanServer(PlanServerOptions options)
     : options_(std::move(options)),
@@ -128,40 +67,30 @@ PlanServer::PlanServer(PlanServerOptions options)
   }
   tracer_ = std::make_unique<obs::RequestTracer>(options_.trace, *metrics_);
 
-  speech_ = std::make_unique<SpeechModel>(options_, metrics_);
-  particle_ = std::make_unique<ParticleModel>(options_, metrics_);
-  // The recorders stay attached for the server's lifetime but record
-  // only when somebody will drain the events: continuously when the
-  // stall watchdog may dump a post-mortem, else just around captured
-  // batches (the flight bridge arms/disarms per capture).
-  const bool continuous_flight = options_.watchdog_ms > 0;
-  speech_->flight.set_armed(continuous_flight);
-  particle_->flight.set_armed(continuous_flight);
-  for (auto* run_options : {&speech_->run_options, &particle_->run_options}) {
-    if (options_.watchdog_ms > 0) {
-      run_options->watchdog.enabled = true;
-      run_options->watchdog.window_ms = options_.watchdog_ms;
-      run_options->watchdog.dump_dir = options_.flight_dump_dir;
-      run_options->watchdog.abort_on_stall = false;  // survive a wedged batch
-      run_options->watchdog.on_stall = [this](const obs::StallReport&) {
-        ++stalls_;
-        metrics_->counter("spi_serve_stalls_total").inc();
-      };
-    }
-  }
-
-  // The built-in plans take the same admission + cache path tenant plans
-  // do — the server refuses to start with a budget its own models bust.
-  for (const auto* plan :
-       {&speech_->app.system().plan(), &particle_->app.system().plan()}) {
-    const auto resident = core::JobInstance::resident_channel_bytes(*plan);
-    if (!admission_.admit_plan(resident).admitted)
+  models_ = make_builtin_models(options_, metrics_);
+  for (const auto& model : models_) {
+    // The recorders stay attached for the server's lifetime but record
+    // only when somebody will drain the events: continuously when the
+    // stall watchdog may dump a post-mortem, else just around captured
+    // batches (the flight bridge arms/disarms per capture).
+    model->flight.set_armed(options_.watchdog_ms > 0);
+    if (options_.watchdog_ms > 0)
+      model->run_options.watchdog = {.enabled = true,
+                                     .window_ms = options_.watchdog_ms,
+                                     .dump_dir = options_.flight_dump_dir,
+                                     .abort_on_stall = false,  // survive a wedged batch
+                                     .on_stall = [this](const obs::StallReport&) {
+                                       ++stalls_;
+                                       metrics_->counter("spi_serve_stalls_total").inc();
+                                     }};
+    // The built-in plans take the same admission + cache path tenant
+    // plans do — the server refuses to start with a budget its own
+    // models bust.
+    if (!admission_.admit_plan(model->instance.resident_bytes()).admitted)
       throw std::invalid_argument(
           "PlanServer: memory budget below the built-in models' resident bytes");
-    (void)cache_.insert(*plan);
+    (void)cache_.insert(model->instance.plan());
   }
-  speech_plan_key_ = speech_->app.system().plan().content_hash_hex();
-  particle_plan_key_ = particle_->app.system().plan().content_hash_hex();
 }
 
 PlanServer::~PlanServer() { stop(); }
@@ -201,8 +130,7 @@ obs::HttpResponse PlanServer::handle_get(const obs::HttpRequest& request) {
     metrics_->gauge("spi_serve_plan_cache_evictions").set(static_cast<double>(cache_.evictions()));
     metrics_->gauge("spi_serve_resident_reserved_bytes")
         .set(static_cast<double>(admission_.reserved_bytes()));
-    speech_->instance.refresh_channel_gauges();
-    particle_->instance.refresh_channel_gauges();
+    for (const auto& model : models_) model->instance.refresh_channel_gauges();
     for (const auto& [tenant, state] : tenants_) {
       const obs::Labels tenant_label{{"tenant", tenant}};
       metrics_->gauge("spi_serve_queue_depth", tenant_label)
@@ -276,33 +204,38 @@ void PlanServer::route_job(std::size_t index, const obs::HttpRequest& request,
                            std::vector<obs::HttpResponse>& responses) {
   metrics_->counter("spi_serve_requests_total", {{"route", "job"}}).inc();
   const auto app = json_string_field(request.body, "app");
-  if (!app || (*app != "speech" && *app != "particle")) {
-    responses[index] = bad_request("job requires \"app\": \"speech\" or \"particle\"");
+  std::size_t model = 0;
+  while (app && model < models_.size() && models_[model]->app != *app) ++model;
+  if (!app || model == models_.size()) {
+    std::string names;
+    for (const auto& m : models_) names += (names.empty() ? "\"" : " or \"") + m->app + "\"";
+    responses[index] = bad_request("job requires \"app\": " + names);
     return;
   }
-  std::string tenant = json_string_field(request.body, "tenant").value_or("default");
+  const auto tenant_field = json_string_field(request.body, "tenant");
+  if (!tenant_field && json_has_field(request.body, "tenant")) {
+    responses[index] = bad_request("job \"tenant\" must be a string without escapes");
+    return;
+  }
+  const std::string tenant = tenant_field.value_or("default");
   auto [it, inserted] = tenants_.try_emplace(tenant, TenantState(tenant));
   TenantState& state = it->second;
   if (inserted) state.series = tracer_->tenant_series(tenant);
-  JobQueue& queue = state.queue;
-  const AdmissionDecision decision = admission_.admit_job(queue.depth());
+  const AdmissionDecision decision = admission_.admit_job(state.queue.depth());
   if (!decision.admitted) {
     metrics_->counter("spi_serve_rejects_total", {{"reason", decision.reason}}).inc();
     responses[index] = reject_response(decision.reason);
     if (state.series != nullptr) {
       // A 429 is a complete (short) lifecycle: ingest -> admission
       // verdict -> reply. Rejects show up in the per-tenant rollups.
-      obs::RequestSpan span;
-      span.id = tracer_->begin_span();
-      span.sampled = tracer_->is_sampled(span.id);
-      span.status = 429;
-      span.ingest_ns = burst_ingest_ns_;
-      span.stage_ns[kStAdmission] = tracer_->now_ns() - burst_ingest_ns_;
-      tracer_->complete(*state.series, span, tenant, *app);
+      const std::uint64_t id = tracer_->begin_span();
+      tracer_->complete_batch(*state.series,
+                              span_ending(429, burst_ingest_ns_, {tracer_->now_ns()}),
+                              {&id, 1}, tenant, models_[model]->app);
     }
     return;
   }
-  QueuedJob job{index, *app, request.body, 0, 0, 0};
+  QueuedJob job{index, model, request.body, 0, 0, 0};
   if (state.series != nullptr) {
     job.span_id = tracer_->begin_span();
     job.ingest_ns = burst_ingest_ns_;
@@ -315,294 +248,108 @@ void PlanServer::route_job(std::size_t index, const obs::HttpRequest& request,
     if (burst_admit_ns_ < 0) burst_admit_ns_ = tracer_->now_ns();
     job.enqueued_ns = burst_admit_ns_;
   }
-  queue.push(std::move(job));
+  state.queue.push(std::move(job));
 }
 
-void PlanServer::drain_queue(TenantState& tenant, std::vector<obs::HttpResponse>& responses) {
-  JobQueue& queue = tenant.queue;
-  if (queue.empty()) return;
-  obs::TenantSeries* series = tenant.series;
-  const bool traced = series != nullptr;
+void PlanServer::drain_burst(std::vector<obs::HttpResponse>& responses) {
+  const bool traced = tracer_->enabled();
   const std::int64_t drain_ns = traced ? tracer_->now_ns() : 0;
 
-  struct SpeechParsed {
-    std::size_t index;
-    bool explicit_io;
-    std::uint64_t span_id;
-    std::int64_t ingest_ns;
-    std::int64_t enqueued_ns;
+  // Stage every tenant's jobs with their models. Jobs sharing a (model,
+  // batch key) fire together whichever tenant sent them; within a batch
+  // they stay grouped by tenant, in queue order.
+  struct Staged {
+    QueuedJob job;
+    TenantState* tenant;
   };
-  struct ParticleParsed {
-    std::size_t index;
-    bool explicit_io;
-    std::int64_t steps;
-    std::uint64_t span_id;
-    std::int64_t ingest_ns;
-    std::int64_t enqueued_ns;
-  };
-
-  // Completes a span for a job rejected while parsing at drain time:
-  // its lifecycle ends inside the batch-formation stage.
-  const auto complete_drain_reject = [&](const QueuedJob& job, int status) {
-    if (!traced || job.span_id == 0) return;
-    obs::RequestSpan span;
-    span.id = job.span_id;
-    span.sampled = tracer_->is_sampled(job.span_id);
-    span.status = status;
-    span.ingest_ns = job.ingest_ns;
-    span.stage_ns[kStAdmission] = job.enqueued_ns - job.ingest_ns;
-    span.stage_ns[kStQueue] = drain_ns - job.enqueued_ns;
-    span.stage_ns[kStBatch] = tracer_->now_ns() - drain_ns;
-    tracer_->complete(*series, span, queue.tenant(), job.app);
-  };
-  std::vector<SpeechParsed> speech_meta;
-  std::vector<apps::ErrorGenApp::SpeechJobSpec> speech_jobs;
-  // Particle batches must share one trajectory length — group by it.
-  std::map<std::int64_t,
-           std::pair<std::vector<ParticleParsed>, std::vector<apps::ParticleFilterApp::ParticleJobSpec>>>
-      particle_groups;
-
-  const auto& speech_params = speech_->app.params();
-  const auto& particle_params = particle_->app.params();
-  std::int64_t drained = 0;
-
-  while (!queue.empty()) {
-    const QueuedJob job = queue.pop();
-    ++drained;
-    if (job.app == "speech") {
-      apps::ErrorGenApp::SpeechJobSpec spec;
-      const auto frame = json_array_field(job.body, "frame");
-      const bool explicit_io = frame.has_value();
-      if (explicit_io) {
-        spec.frame = *frame;
-        spec.coeffs = json_array_field(job.body, "coeffs").value_or(synth_coeffs(speech_params.order));
-      } else {
-        const auto n = static_cast<std::size_t>(
-            json_number_field(job.body, "frame_size").value_or(static_cast<double>(speech_params.frame_size)));
-        const auto order = static_cast<std::size_t>(
-            json_number_field(job.body, "order").value_or(static_cast<double>(speech_params.order)));
-        const auto seed =
-            static_cast<std::uint64_t>(json_number_field(job.body, "seed").value_or(0.0));
-        if (n == 0 || n > speech_params.max_frame_size || order == 0 ||
-            order > speech_params.max_order) {
-          responses[job.request_index] = bad_request("speech job exceeds the model bounds");
-          complete_drain_reject(job, 400);
-          continue;
-        }
-        spec.frame = synth_frame(seed, n);
-        spec.coeffs = synth_coeffs(order);
-      }
-      if (spec.frame.empty() || spec.frame.size() > speech_params.max_frame_size ||
-          spec.coeffs.empty() || spec.coeffs.size() > speech_params.max_order) {
-        responses[job.request_index] = bad_request("speech job exceeds the model bounds");
-        complete_drain_reject(job, 400);
+  std::map<std::pair<std::size_t, std::int64_t>, std::vector<Staged>> batches;
+  for (auto& [name, tenant] : tenants_) {
+    tenant.queue.count_served(tenant.queue.depth());
+    while (!tenant.queue.empty()) {
+      QueuedJob job = tenant.queue.pop();
+      ServedModel& model = *models_[job.model];
+      auto key = model.stage(job.body);
+      if (const auto* error = std::get_if<std::string>(&key)) {
+        responses[job.request_index] = bad_request(*error);
+        // Rejected while parsing: the lifecycle ends inside the
+        // batch-formation stage.
+        if (job.span_id != 0)
+          tracer_->complete_batch(
+              *tenant.series,
+              span_ending(400, job.ingest_ns, {job.enqueued_ns, drain_ns, tracer_->now_ns()}),
+              {&job.span_id, 1}, name, model.app);
         continue;
       }
-      speech_meta.push_back(
-          {job.request_index, explicit_io, job.span_id, job.ingest_ns, job.enqueued_ns});
-      speech_jobs.push_back(std::move(spec));
-    } else {
-      apps::ParticleFilterApp::ParticleJobSpec spec;
-      spec.seed = static_cast<std::uint64_t>(
-          json_number_field(job.body, "seed").value_or(static_cast<double>(particle_params.seed)));
-      const auto observations = json_array_field(job.body, "observations");
-      const bool explicit_io = observations.has_value();
-      if (explicit_io) {
-        spec.trajectory.observations = *observations;
-        spec.trajectory.truth = json_array_field(job.body, "truth")
-                                    .value_or(std::vector<double>(spec.trajectory.observations.size(), 0.0));
-      } else {
-        const auto steps = static_cast<std::size_t>(
-            json_number_field(job.body, "steps").value_or(8.0));
-        if (steps == 0 || steps > 4096) {
-          responses[job.request_index] = bad_request("particle job steps out of range");
-          complete_drain_reject(job, 400);
-          continue;
-        }
-        dsp::Rng rng(spec.seed + 1);
-        spec.trajectory = dsp::simulate_crack(particle_params.model, steps, rng);
-      }
-      if (spec.trajectory.observations.empty()) {
-        responses[job.request_index] = bad_request("particle job has no observations");
-        complete_drain_reject(job, 400);
-        continue;
-      }
-      const auto steps = static_cast<std::int64_t>(spec.trajectory.observations.size());
-      auto& [meta, specs] = particle_groups[steps];
-      meta.push_back(
-          {job.request_index, explicit_io, steps, job.span_id, job.ingest_ns, job.enqueued_ns});
-      specs.push_back(std::move(spec));
+      batches[{job.model, std::get<std::int64_t>(key)}].push_back({std::move(job), &tenant});
     }
   }
-  queue.count_served(drained);
 
-  if (!speech_jobs.empty()) {
-    metrics_->counter("spi_serve_batches_total", {{"app", "speech"}}).inc();
+  for (auto& [key, jobs] : batches) {
+    ServedModel& model = *models_[key.first];
+    const obs::Labels app_label{{"app", model.app}};
+    metrics_->counter("spi_serve_batches_total", app_label).inc();
     metrics_
         ->histogram("spi_serve_batch_jobs", obs::Histogram::exponential_bounds(1.0, 2.0, 11),
-                    {{"app", "speech"}})
-        .observe(static_cast<double>(speech_jobs.size()));
+                    app_label)
+        .observe(static_cast<double>(jobs.size()));
     const std::int64_t batch_id = next_batch_id_++;
-    bool sample_batch = false;
-    if (traced)
-      for (const SpeechParsed& m : speech_meta)
-        if (m.span_id != 0 && tracer_->is_sampled(m.span_id)) {
-          sample_batch = true;
-          break;
-        }
     // Flight bridge, paced much coarser than span sampling (collect is
     // the one expensive capture): drop whatever the rings still hold,
     // tag the run, and collect right after — the captured log is
     // exactly this batch's causal firing stream (GET /trace/flight).
-    const bool capture_flight = sample_batch && tracer_->want_flight();
+    const bool capture_flight =
+        std::any_of(jobs.begin(), jobs.end(),
+                    [&](const Staged& s) { return tracer_->is_sampled(s.job.span_id); }) &&
+        tracer_->want_flight();
     if (capture_flight) {
-      speech_->flight.set_armed(true);
-      speech_->flight.discard_all();
-      speech_->run_options.batch_id = batch_id;
-    } else {
-      speech_->run_options.batch_id = -1;
+      model.flight.set_armed(true);
+      model.flight.discard_all();
     }
-    const std::int64_t formed_ns = traced ? tracer_->now_ns() : 0;
-    std::int64_t exec_end_ns = formed_ns;
-    try {
-      const auto results = speech_->app.compute_errors_batch(
-          speech_jobs, speech_->instance, &speech_->run_options);
-      exec_end_ns = traced ? tracer_->now_ns() : 0;
-      for (std::size_t k = 0; k < speech_meta.size(); ++k) {
-        std::string body = "{\"app\": \"speech\", ";
-        if (speech_meta[k].explicit_io) {
-          body += "\"errors\": ";
-          append_doubles(body, results[k]);
-        } else {
-          double checksum = 0.0;
-          for (const double e : results[k]) checksum += e;
-          body += "\"n\": " + std::to_string(results[k].size()) + ", \"checksum\": ";
-          append_double(body, checksum);
-        }
-        body += "}\n";
-        responses[speech_meta[k].index] = json_response(200, std::move(body));
-      }
-      jobs_served_ += static_cast<std::int64_t>(speech_jobs.size());
-      metrics_->counter("spi_serve_jobs_total", {{"app", "speech"}, {"tenant", queue.tenant()}})
-          .inc(static_cast<std::int64_t>(speech_jobs.size()));
-    } catch (const std::exception& e) {
-      exec_end_ns = traced ? tracer_->now_ns() : 0;
-      for (const SpeechParsed& meta : speech_meta)
-        responses[meta.index] =
-            json_response(500, "{\"error\": \"" + obs::detail::json_escaped(e.what()) + "\"}\n");
-    }
-    if (traced) {
-      // Reply stamp first: flight collection is tracer bookkeeping, not
-      // part of any request's lifecycle (serialization waits for the
-      // GET /trace/flight scrape).
-      const std::int64_t reply_ns = tracer_->now_ns();
-      if (capture_flight) {
-        tracer_->note_flight(batch_id, speech_->flight.collect());
-        speech_->flight.set_armed(options_.watchdog_ms > 0);
-      }
-      span_ids_scratch_.clear();
-      for (const SpeechParsed& m : speech_meta)
-        if (m.span_id != 0) span_ids_scratch_.push_back(m.span_id);
-      if (!span_ids_scratch_.empty()) {
-        // One representative span for the whole batch: the jobs share
-        // every stage boundary (batch stamps, the burst's enqueue stamp,
-        // one status for the batched firing), so only the ids differ.
-        const SpeechParsed& front = speech_meta.front();
-        obs::RequestSpan span;
-        span.status = responses[front.index].status;
-        span.batch_id = batch_id;
-        span.batch_size = static_cast<std::int32_t>(speech_jobs.size());
-        span.ingest_ns = front.ingest_ns;
-        span.stage_ns[kStAdmission] = front.enqueued_ns - front.ingest_ns;
-        span.stage_ns[kStQueue] = drain_ns - front.enqueued_ns;
-        span.stage_ns[kStBatch] = formed_ns - drain_ns;
-        span.stage_ns[kStExec] = exec_end_ns - formed_ns;
-        span.stage_ns[kStReply] = reply_ns - exec_end_ns;
-        tracer_->complete_batch(*series, span, span_ids_scratch_, queue.tenant(), "speech");
-      }
-    }
-  }
+    model.run_options.batch_id = capture_flight ? batch_id : -1;
 
-  for (auto& [steps, group] : particle_groups) {
-    auto& [meta, specs] = group;
-    metrics_->counter("spi_serve_batches_total", {{"app", "particle"}}).inc();
-    metrics_
-        ->histogram("spi_serve_batch_jobs", obs::Histogram::exponential_bounds(1.0, 2.0, 11),
-                    {{"app", "particle"}})
-        .observe(static_cast<double>(specs.size()));
-    const std::int64_t batch_id = next_batch_id_++;
-    bool sample_batch = false;
-    if (traced)
-      for (const ParticleParsed& m : meta)
-        if (m.span_id != 0 && tracer_->is_sampled(m.span_id)) {
-          sample_batch = true;
-          break;
-        }
-    const bool capture_flight = sample_batch && tracer_->want_flight();
-    if (capture_flight) {
-      particle_->flight.set_armed(true);
-      particle_->flight.discard_all();
-      particle_->run_options.batch_id = batch_id;
-    } else {
-      particle_->run_options.batch_id = -1;
-    }
     const std::int64_t formed_ns = traced ? tracer_->now_ns() : 0;
-    std::int64_t exec_end_ns = formed_ns;
+    int status = 200;
+    std::vector<std::string> bodies;
     try {
-      const auto results =
-          particle_->app.track_batch(specs, particle_->instance, &particle_->run_options);
-      exec_end_ns = traced ? tracer_->now_ns() : 0;
-      for (std::size_t k = 0; k < meta.size(); ++k) {
-        const apps::TrackResult& r = results[k];
-        std::string body = "{\"app\": \"particle\", ";
-        if (meta[k].explicit_io) {
-          body += "\"estimates\": ";
-          append_doubles(body, r.estimates);
-          body += ", \"rmse\": ";
-          append_double(body, r.rmse_vs_truth);
-          body += ", \"resample_steps\": " + std::to_string(r.resample_steps);
-          body += ", \"particles_exchanged\": " + std::to_string(r.particles_exchanged);
-        } else {
-          body += "\"steps\": " + std::to_string(steps) + ", \"estimate\": ";
-          append_double(body, r.estimates.empty() ? 0.0 : r.estimates.back());
-          body += ", \"rmse\": ";
-          append_double(body, r.rmse_vs_truth);
-        }
-        body += "}\n";
-        responses[meta[k].index] = json_response(200, std::move(body));
-      }
-      jobs_served_ += static_cast<std::int64_t>(specs.size());
-      metrics_->counter("spi_serve_jobs_total", {{"app", "particle"}, {"tenant", queue.tenant()}})
-          .inc(static_cast<std::int64_t>(specs.size()));
+      bodies = model.fire(key.second);
     } catch (const std::exception& e) {
-      exec_end_ns = traced ? tracer_->now_ns() : 0;
-      for (const ParticleParsed& m : meta)
-        responses[m.index] =
-            json_response(500, "{\"error\": \"" + obs::detail::json_escaped(e.what()) + "\"}\n");
+      status = 500;
+      bodies.assign(jobs.size(),
+                    "{\"error\": \"" + obs::detail::json_escaped(e.what()) + "\"}\n");
     }
-    if (traced) {
-      const std::int64_t reply_ns = tracer_->now_ns();
-      if (capture_flight) {
-        tracer_->note_flight(batch_id, particle_->flight.collect());
-        particle_->flight.set_armed(options_.watchdog_ms > 0);
-      }
+    const std::int64_t exec_end_ns = traced ? tracer_->now_ns() : 0;
+    for (std::size_t k = 0; k < jobs.size(); ++k)
+      responses[jobs[k].job.request_index] = json_response(status, std::move(bodies[k]));
+    if (status == 200) jobs_served_ += static_cast<std::int64_t>(jobs.size());
+
+    // Reply stamp before the bookkeeping below: per-tenant accounting
+    // and flight collection are not part of any request's lifecycle
+    // (flight serialization waits for the GET /trace/flight scrape).
+    const std::int64_t reply_ns = traced ? tracer_->now_ns() : 0;
+    if (capture_flight) {
+      tracer_->note_flight(batch_id, model.flight.collect());
+      model.flight.set_armed(options_.watchdog_ms > 0);
+    }
+    // Every job of the batch shares every stage boundary (the burst's
+    // ingest and enqueue stamps, the batch stamps, one status for the
+    // batched firing), so one span stands for all of them; per tenant in
+    // the batch it completes once, with that tenant's span ids.
+    obs::RequestSpan span =
+        span_ending(status, jobs.front().job.ingest_ns,
+                    {jobs.front().job.enqueued_ns, drain_ns, formed_ns, exec_end_ns, reply_ns});
+    span.batch_id = batch_id;
+    span.batch_size = static_cast<std::int32_t>(jobs.size());
+    for (std::size_t begin = 0, end = 0; begin < jobs.size(); begin = end) {
+      TenantState& tenant = *jobs[begin].tenant;
+      const std::string& name = tenant.queue.tenant();
       span_ids_scratch_.clear();
-      for (const ParticleParsed& m : meta)
-        if (m.span_id != 0) span_ids_scratch_.push_back(m.span_id);
-      if (!span_ids_scratch_.empty()) {
-        const ParticleParsed& front = meta.front();
-        obs::RequestSpan span;
-        span.status = responses[front.index].status;
-        span.batch_id = batch_id;
-        span.batch_size = static_cast<std::int32_t>(specs.size());
-        span.ingest_ns = front.ingest_ns;
-        span.stage_ns[kStAdmission] = front.enqueued_ns - front.ingest_ns;
-        span.stage_ns[kStQueue] = drain_ns - front.enqueued_ns;
-        span.stage_ns[kStBatch] = formed_ns - drain_ns;
-        span.stage_ns[kStExec] = exec_end_ns - formed_ns;
-        span.stage_ns[kStReply] = reply_ns - exec_end_ns;
-        tracer_->complete_batch(*series, span, span_ids_scratch_, queue.tenant(), "particle");
-      }
+      for (end = begin; end < jobs.size() && jobs[end].tenant == &tenant; ++end)
+        if (jobs[end].job.span_id != 0) span_ids_scratch_.push_back(jobs[end].job.span_id);
+      if (status == 200)
+        metrics_->counter("spi_serve_jobs_total", {{"app", model.app}, {"tenant", name}})
+            .inc(static_cast<std::int64_t>(end - begin));
+      if (!span_ids_scratch_.empty())
+        tracer_->complete_batch(*tenant.series, span, span_ids_scratch_, name, model.app);
     }
   }
 }
@@ -636,9 +383,10 @@ void PlanServer::handle_burst(std::span<obs::HttpRequest> requests,
     }
   }
 
-  // Batched firing: each tenant queue drains as one colocated batch per
-  // app (one program traversal amortized over all its queued jobs).
-  for (auto& [tenant, state] : tenants_) drain_queue(state, responses);
+  // Batched firing: all tenant queues drain as one colocated batch per
+  // (model, batch key) — one program traversal amortized over every
+  // queued job of the burst.
+  drain_burst(responses);
 
   const double seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
@@ -646,6 +394,12 @@ void PlanServer::handle_burst(std::span<obs::HttpRequest> requests,
   metrics_
       ->histogram("spi_serve_burst_seconds", obs::Histogram::exponential_bounds(1e-6, 4.0, 10))
       .observe(seconds);
+}
+
+std::string PlanServer::plan_key(std::string_view app) const {
+  for (const auto& model : models_)
+    if (model->app == app) return model->instance.plan().content_hash_hex();
+  throw std::out_of_range("PlanServer: no model serves app \"" + std::string(app) + "\"");
 }
 
 std::string PlanServer::runtime_json() const {
@@ -665,10 +419,11 @@ std::string PlanServer::runtime_json() const {
          ", \"rejected_memory\": " + std::to_string(admission_.rejected_memory()) +
          ", \"rejected_queue\": " + std::to_string(admission_.rejected_queue()) + "},\n";
   out += "  \"models\": [\n";
-  out += "    {\"app\": \"speech\", \"plan\": \"" + speech_plan_key_ +
-         "\", \"resident_bytes\": " + std::to_string(speech_->instance.resident_bytes()) + "},\n";
-  out += "    {\"app\": \"particle\", \"plan\": \"" + particle_plan_key_ +
-         "\", \"resident_bytes\": " + std::to_string(particle_->instance.resident_bytes()) + "}\n";
+  for (std::size_t i = 0; i < models_.size(); ++i)
+    out += "    {\"app\": \"" + models_[i]->app + "\", \"plan\": \"" +
+           models_[i]->instance.plan().content_hash_hex() +
+           "\", \"resident_bytes\": " + std::to_string(models_[i]->instance.resident_bytes()) +
+           (i + 1 < models_.size() ? "},\n" : "}\n");
   out += "  ],\n";
   out += "  \"tenants\": [";
   bool first = true;

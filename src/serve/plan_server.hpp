@@ -8,8 +8,9 @@
 ///                     memory reserved against the admission budget.
 ///   POST /job       — run one job on a built-in model ("speech" or
 ///                     "particle"); jobs admitted from one HTTP read
-///                     burst are queued per tenant and drained as ONE
-///                     batched colocated firing per app.
+///                     burst are queued per tenant, then every tenant's
+///                     queue drains into ONE batched colocated firing
+///                     per (model, batch key) — see served_model.hpp.
 ///   GET  /metrics   — Prometheus exposition of the serve + runtime
 ///                     counters; /metrics.json for the JSON form.
 ///   GET  /runtime   — live server status JSON (cache, admission,
@@ -30,6 +31,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/particle_app.hpp"
@@ -42,6 +44,8 @@
 #include "serve/plan_cache.hpp"
 
 namespace spi::serve {
+
+class ServedModel;
 
 struct PlanServerOptions {
   int port = 0;  ///< 0 = ephemeral
@@ -84,10 +88,10 @@ class PlanServer {
   [[nodiscard]] int port() const { return http_ ? http_->port() : -1; }
 
   /// The batch handler: routes every request of one read burst, then
-  /// drains the tenant queues app by app as batched firings. Public so
-  /// tests (and in-process embedders) can drive the server without a
-  /// socket — `responses` is filled with exactly one response per
-  /// request, in order.
+  /// drains all tenant queues as one batched firing per (model, batch
+  /// key) across tenants. Public so tests (and in-process embedders)
+  /// can drive the server without a socket — `responses` is filled with
+  /// exactly one response per request, in order.
   void handle_burst(std::span<obs::HttpRequest> requests,
                     std::vector<obs::HttpResponse>& responses);
 
@@ -100,14 +104,12 @@ class PlanServer {
   /// tracer's per-stage rollups.
   [[nodiscard]] std::string tenants_json() const;
   [[nodiscard]] const obs::RequestTracer& tracer() const { return *tracer_; }
-  /// Content hashes of the built-in model plans (pre-cached at startup).
-  [[nodiscard]] const std::string& speech_plan_key() const { return speech_plan_key_; }
-  [[nodiscard]] const std::string& particle_plan_key() const { return particle_plan_key_; }
+  /// Content hash of a built-in model's plan (pre-cached at startup),
+  /// e.g. plan_key("speech"); throws std::out_of_range for an app no
+  /// model serves.
+  [[nodiscard]] std::string plan_key(std::string_view app) const;
 
  private:
-  struct SpeechModel;
-  struct ParticleModel;
-
   /// One tenant's serving state: the queue plus the tracer's cached
   /// instrument handles (resolved once — per-request stamping must not
   /// take the registry lock).
@@ -123,7 +125,9 @@ class PlanServer {
   /// 429) in `responses`.
   void route_job(std::size_t index, const obs::HttpRequest& request,
                  std::vector<obs::HttpResponse>& responses);
-  void drain_queue(TenantState& tenant, std::vector<obs::HttpResponse>& responses);
+  /// Pops every tenant's queued jobs and fires one batch per (model,
+  /// batch key) for the whole burst.
+  void drain_burst(std::vector<obs::HttpResponse>& responses);
 
   PlanServerOptions options_;
   std::unique_ptr<obs::MetricRegistry> owned_metrics_;
@@ -140,10 +144,7 @@ class PlanServer {
   std::int64_t burst_admit_ns_ = -1;
   std::vector<std::uint64_t> span_ids_scratch_;  ///< reused per drained batch
 
-  std::unique_ptr<SpeechModel> speech_;
-  std::unique_ptr<ParticleModel> particle_;
-  std::string speech_plan_key_;
-  std::string particle_plan_key_;
+  std::vector<std::unique_ptr<ServedModel>> models_;
 
   std::unique_ptr<obs::HttpServer> http_;
   std::int64_t jobs_served_ = 0;

@@ -6,19 +6,26 @@ namespace spi::serve {
 
 namespace {
 
-/// Position just past `"key":` (skipping whitespace), or npos.
+constexpr std::string_view kWhitespace = " \t\r\n";
+
+/// Position just past the top-level `"key":` (skipping whitespace), or
+/// npos. Nested objects and arrays are skipped, and so is every string's
+/// content (escapes included), so neither a nested key nor a string
+/// value that merely contains the key matches.
 std::size_t value_start(std::string_view body, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\"";
-  std::size_t pos = 0;
-  while ((pos = body.find(needle, pos)) != std::string_view::npos) {
-    std::size_t p = pos + needle.size();
-    while (p < body.size() && (body[p] == ' ' || body[p] == '\t' || body[p] == '\n')) ++p;
-    if (p < body.size() && body[p] == ':') {
-      ++p;
-      while (p < body.size() && (body[p] == ' ' || body[p] == '\t' || body[p] == '\n')) ++p;
-      return p;
+  int depth = 0;
+  for (std::size_t p = 0; p < body.size(); ++p) {
+    depth += (body[p] == '{' || body[p] == '[') - (body[p] == '}' || body[p] == ']');
+    if (body[p] == '"') {
+      const std::size_t open = p;
+      while (++p < body.size() && body[p] != '"')
+        if (body[p] == '\\') ++p;
+      if (p >= body.size()) return std::string_view::npos;  // unterminated string
+      const std::size_t colon = body.find_first_not_of(kWhitespace, p + 1);
+      if (depth == 1 && colon < body.size() && body[colon] == ':' &&
+          body.substr(open + 1, p - open - 1) == key)
+        return body.find_first_not_of(kWhitespace, colon + 1);
     }
-    pos += needle.size();  // a string value that merely contains the key
   }
   return std::string_view::npos;
 }
@@ -28,9 +35,13 @@ std::size_t value_start(std::string_view body, std::string_view key) {
 std::optional<std::string> json_string_field(std::string_view body, std::string_view key) {
   const std::size_t p = value_start(body, key);
   if (p == std::string_view::npos || p >= body.size() || body[p] != '"') return std::nullopt;
-  const std::size_t end = body.find('"', p + 1);
-  if (end == std::string_view::npos) return std::nullopt;
+  const std::size_t end = body.find_first_of("\"\\", p + 1);
+  if (end == std::string_view::npos || body[end] != '"') return std::nullopt;  // or escaped
   return std::string(body.substr(p + 1, end - p - 1));
+}
+
+bool json_has_field(std::string_view body, std::string_view key) {
+  return value_start(body, key) != std::string_view::npos;
 }
 
 std::optional<double> json_number_field(std::string_view body, std::string_view key) {
@@ -47,21 +58,16 @@ std::optional<std::vector<double>> json_array_field(std::string_view body, std::
   const std::size_t p = value_start(body, key);
   if (p == std::string_view::npos || p >= body.size() || body[p] != '[') return std::nullopt;
   std::vector<double> values;
-  const char* cursor = body.data() + p + 1;
-  const char* const end = body.data() + body.size();
-  while (cursor < end) {
-    while (cursor < end && (*cursor == ' ' || *cursor == ',' || *cursor == '\t' ||
-                            *cursor == '\n'))
-      ++cursor;
-    if (cursor >= end) return std::nullopt;  // unterminated array
-    if (*cursor == ']') return values;
+  for (std::size_t at = p + 1;;) {
+    at = body.find_first_not_of(" \t\r\n,", at);
+    if (at == std::string_view::npos) return std::nullopt;  // unterminated array
+    if (body[at] == ']') return values;
+    const char* const start = body.data() + at;
     char* parsed_end = nullptr;
-    const double value = std::strtod(cursor, &parsed_end);
-    if (parsed_end == cursor) return std::nullopt;  // not a number
-    values.push_back(value);
-    cursor = parsed_end;
+    values.push_back(std::strtod(start, &parsed_end));
+    if (parsed_end == start) return std::nullopt;  // not a number
+    at += static_cast<std::size_t>(parsed_end - start);
   }
-  return std::nullopt;
 }
 
 }  // namespace spi::serve

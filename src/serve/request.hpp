@@ -5,9 +5,12 @@
 /// at a >=100k req/s service rate a DOM parse per request would dominate
 /// the batch handler, so fields are extracted by key scan, the same
 /// technique core::ExecutablePlan::from_json uses. Keys are matched as
-/// "<key>": at top nesting depth only; absent or malformed fields are
-/// std::nullopt (the server answers 400). Not a general JSON parser —
-/// strings must not contain escaped quotes, arrays are numbers only.
+/// "<key>": at top nesting depth only — nested objects, arrays and
+/// string contents are skipped. Absent or malformed fields are
+/// std::nullopt; json_has_field tells the two apart, so the server can
+/// answer 400 to a present-but-malformed field. Not a general JSON
+/// parser: a string value containing an escape sequence is malformed
+/// (std::nullopt), and arrays are numbers only.
 #pragma once
 
 #include <optional>
@@ -17,6 +20,8 @@
 
 namespace spi::serve {
 
+/// Whether the body has the top-level key, whatever its value.
+[[nodiscard]] bool json_has_field(std::string_view body, std::string_view key);
 [[nodiscard]] std::optional<std::string> json_string_field(std::string_view body,
                                                            std::string_view key);
 [[nodiscard]] std::optional<double> json_number_field(std::string_view body, std::string_view key);

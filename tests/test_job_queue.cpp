@@ -16,7 +16,7 @@ namespace {
 QueuedJob job(std::size_t index) {
   QueuedJob j;
   j.request_index = index;
-  j.app = "speech";
+  j.model = 0;
   j.body = "{}";
   j.span_id = index + 1;
   j.ingest_ns = 100;

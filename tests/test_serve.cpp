@@ -284,15 +284,111 @@ TEST(PlanServer, BadJobsAnswer400WithoutPoisoningTheBatch) {
       "{\"app\":\"speech\",\"frame_size\":100000,\"order\":4,\"seed\":1}",
       "{\"app\":\"particle\",\"steps\":0,\"seed\":1}",
       "{\"app\":\"speech\",\"frame_size\":8,\"order\":2,\"seed\":1}",
+      // truth shorter than observations: its RMSE cannot be computed.
+      "{\"app\":\"particle\",\"observations\":[0.1,0.2,0.3],\"truth\":[0.1,0.2]}",
+      // A valid job of the same trajectory length, so the same batch.
+      "{\"app\":\"particle\",\"observations\":[0.1,0.2,0.3],\"truth\":[0.1,0.2,0.3]}",
   });
   std::vector<obs::HttpResponse> responses;
   server.handle_burst(requests, responses);
-  ASSERT_EQ(responses.size(), 5u);
+  ASSERT_EQ(responses.size(), 7u);
   EXPECT_EQ(responses[0].status, 400);
   EXPECT_EQ(responses[1].status, 400);
   EXPECT_EQ(responses[2].status, 400);
   EXPECT_EQ(responses[3].status, 400);
   EXPECT_EQ(responses[4].status, 200) << "valid job must survive its burst-mates";
+  EXPECT_EQ(responses[5].status, 400) << responses[5].body;
+  EXPECT_NE(responses[5].body.find("truth"), std::string::npos) << responses[5].body;
+  EXPECT_EQ(responses[6].status, 200) << "same-length particle mate must survive: "
+                                      << responses[6].body;
+}
+
+TEST(PlanServer, NumericJobFieldsAreRangeCheckedBeforeTheCast) {
+  // Every numeric field must be a finite integer in range before it is
+  // cast: the cast of -1, 1e300 or NaN to an unsigned integer is
+  // undefined, and a fraction must not be silently truncated.
+  std::vector<std::string> bad = {
+      R"({"app":"speech","frame_size":8.9,"order":2,"seed":1})",
+      R"({"app":"speech","frame_size":-1,"order":2,"seed":1})",
+      R"({"app":"speech","frame_size":1e300,"order":2,"seed":1})",
+      R"({"app":"speech","frame_size":nan,"order":2,"seed":1})",
+      R"({"app":"speech","frame_size":"8","order":2,"seed":1})",
+      R"({"app":"speech","frame_size":8,"order":2.5,"seed":1})",
+      R"({"app":"speech","frame_size":8,"order":-inf,"seed":1})",
+      R"({"app":"speech","frame_size":8,"order":2,"seed":-1})",
+      R"({"app":"speech","frame_size":8,"order":2,"seed":0.5})",
+      R"({"app":"speech","frame_size":8,"order":2,"seed":1e300})",
+      R"({"app":"speech","frame_size":8,"order":2,"seed":9007199254740994})",
+      R"({"app":"particle","steps":-3,"seed":1})",
+      R"({"app":"particle","steps":2.5,"seed":1})",
+      R"({"app":"particle","steps":4097,"seed":1})",
+      R"({"app":"particle","steps":1e300,"seed":1})",
+      R"({"app":"particle","steps":4,"seed":-1})",
+      R"({"app":"particle","steps":4,"seed":inf})",
+  };
+  // 4097 explicit observations: over the same cap as synthetic steps.
+  std::string long_observations = R"({"app":"particle","observations":[0)";
+  for (int i = 1; i < 4097; ++i) long_observations += ",0";
+  bad.push_back(long_observations + "]}");
+  std::vector<std::string> bodies = bad;
+  // In-range edges of the same fields still serve.
+  bodies.push_back(R"({"app":"speech","frame_size":256,"order":8,"seed":9007199254740992})");
+  bodies.push_back(R"({"app":"speech","frame_size":1.0,"order":1,"seed":0})");
+  bodies.push_back(R"({"app":"particle","steps":4096,"seed":0})");
+
+  PlanServer server;
+  std::vector<obs::HttpRequest> requests = job_burst(bodies);
+  std::vector<obs::HttpResponse> responses;
+  server.handle_burst(requests, responses);
+  ASSERT_EQ(responses.size(), bodies.size());
+  for (std::size_t i = 0; i < bad.size(); ++i)
+    EXPECT_EQ(responses[i].status, 400) << bodies[i].substr(0, 80) << " -> " << responses[i].body;
+  for (std::size_t i = bad.size(); i < bodies.size(); ++i)
+    EXPECT_EQ(responses[i].status, 200) << bodies[i] << " -> " << responses[i].body;
+  EXPECT_EQ(server.jobs_served(), 3);
+}
+
+TEST(PlanServer, JobKeysAreMatchedAtTopLevelOnly) {
+  PlanServer server;
+  std::vector<obs::HttpRequest> requests = job_burst({
+      // A nested "frame" is not the job's frame: this is a synthetic job.
+      R"({"app":"speech","meta":{"frame":[0.5,0.25]},"frame_size":8,"order":2,"seed":1})",
+      R"({"app":"speech","frame_size":8,"order":2,"seed":1})",
+      // A string value that spells a key does not match it either.
+      R"({"note":"\"app\":\"particle\"","app":"speech","frame_size":8,"order":2,"seed":1})",
+      // Escaped strings are malformed: 400, never a truncated tenant.
+      R"({"app":"speech","tenant":"a\"b","frame_size":8,"order":2,"seed":1})",
+      R"({"app":"spe\u0065ch","frame_size":8,"order":2,"seed":1})",
+  });
+  std::vector<obs::HttpResponse> responses;
+  server.handle_burst(requests, responses);
+  ASSERT_EQ(responses.size(), 5u);
+  ASSERT_EQ(responses[0].status, 200) << responses[0].body;
+  EXPECT_EQ(responses[0].body.find("\"errors\""), std::string::npos) << responses[0].body;
+  EXPECT_EQ(responses[0].body, responses[1].body);
+  EXPECT_EQ(responses[2].status, 200) << responses[2].body;
+  EXPECT_EQ(responses[2].body, responses[1].body);
+  EXPECT_EQ(responses[3].status, 400) << responses[3].body;
+  EXPECT_EQ(responses[4].status, 400) << responses[4].body;
+  const std::string runtime = server.runtime_json();
+  EXPECT_TRUE(obs::detail::json_validate(runtime).empty()) << runtime;
+  EXPECT_EQ(runtime.find("\"a\\"), std::string::npos) << "no truncated tenant: " << runtime;
+}
+
+TEST(ServeRequest, ScannerSkipsNestedValuesAndStringContents) {
+  const std::string body =
+      R"({"outer":{"key":1,"list":[{"key":2}]},"text":"\"key\": 3","key" : 4,"s":"x"})";
+  EXPECT_EQ(json_number_field(body, "key"), 4.0);
+  EXPECT_TRUE(json_has_field(body, "outer"));
+  EXPECT_FALSE(json_has_field(body, "list")) << "nested keys are not top-level";
+  EXPECT_EQ(json_string_field(body, "s"), "x");
+  EXPECT_FALSE(json_string_field(body, "text").has_value()) << "escaped strings are malformed";
+  EXPECT_TRUE(json_has_field(body, "text"));
+  EXPECT_FALSE(json_array_field(body, "outer").has_value());
+  EXPECT_FALSE(json_string_field(R"({"a":"unterminated)", "a").has_value());
+  EXPECT_FALSE(json_has_field(R"({"a":"x","b)", "b")) << "unterminated key";
+  EXPECT_EQ(json_array_field(R"({"v":[1, 2 ,3]})", "v"), (std::vector<double>{1, 2, 3}));
+  EXPECT_FALSE(json_array_field(R"({"v":[1,2)", "v").has_value()) << "unterminated array";
 }
 
 TEST(PlanServer, PlanPostCachesByContentAndBudgetsMemory) {
@@ -322,7 +418,7 @@ TEST(PlanServer, PlanPostCachesByContentAndBudgetsMemory) {
           apps::ErrorGenApp(2, server_speech_params()).system().plan().to_json()));
   EXPECT_EQ(own.status, 200);
   EXPECT_NE(own.body.find("\"cached\": true"), std::string::npos);
-  EXPECT_NE(own.body.find(server.speech_plan_key()), std::string::npos);
+  EXPECT_NE(own.body.find(server.plan_key("speech")), std::string::npos);
 
   const obs::HttpResponse rejected = post_plan(big);
   EXPECT_EQ(rejected.status, 429);
@@ -503,6 +599,57 @@ TEST(PlanServer, RejectedJobsCompleteShortSpansWith429) {
   EXPECT_NE(responses[0].body.find("\"status\": 429"), std::string::npos)
       << "rejects are traced too";
   EXPECT_NE(responses[1].body.find("\"rejects\": 2"), std::string::npos) << responses[1].body;
+}
+
+TEST(PlanServer, OneFiringPerAppPerBurstAcrossTenants) {
+  for (const int tenants : {2, 3, 4}) {
+    SCOPED_TRACE(testing::Message() << tenants << " tenants");
+    PlanServerOptions options;
+    options.trace.sample_every = 1;  // keep every span
+    PlanServer server(options);
+    const obs::MetricRegistry& metrics = server.metrics();
+    for (int burst = 0; burst < 2; ++burst) {
+      std::vector<std::string> bodies;
+      for (int j = 0; j < 2 * tenants; ++j)
+        bodies.push_back(R"({"app":"speech","tenant":"t)" + std::to_string(j % tenants) +
+                         R"(","frame_size":12,"order":3,"seed":)" + std::to_string(j) + "}");
+      const std::int64_t batches_before =
+          metrics.counter_value("spi_serve_batches_total", {{"app", "speech"}});
+      std::vector<obs::HttpRequest> requests = job_burst(bodies);
+      std::vector<obs::HttpResponse> responses;
+      server.handle_burst(requests, responses);
+      for (const obs::HttpResponse& r : responses) EXPECT_EQ(r.status, 200) << r.body;
+      EXPECT_EQ(metrics.counter_value("spi_serve_batches_total", {{"app", "speech"}}),
+                batches_before + 1)
+          << "one speech firing per burst, whatever the tenant count";
+    }
+
+    // The second burst's spans: one batch id and one queue wait for all.
+    std::vector<obs::HttpRequest> scrape = {{"GET", "/trace", "HTTP/1.1", "", true}};
+    std::vector<obs::HttpResponse> trace_response;
+    server.handle_burst(scrape, trace_response);
+    const std::string& trace = trace_response.at(0).body;
+    std::vector<std::int64_t> batch_ids, queue_ns;
+    const std::size_t spans_end = trace.find("\"outliers\": [");
+    std::size_t at = trace.find("\"spans\": [");
+    for (; (at = trace.find("{\"id\": ", at)) < spans_end; ++at) {
+      batch_ids.push_back(span_int(trace, at, "batch"));
+      queue_ns.push_back(span_int(trace, at, "queue_ns"));
+    }
+    ASSERT_EQ(batch_ids.size(), static_cast<std::size_t>(4 * tenants));
+    for (std::size_t k = 2 * tenants; k < batch_ids.size(); ++k) {
+      EXPECT_EQ(batch_ids[k], batch_ids[2 * tenants]) << "span " << k;
+      EXPECT_EQ(queue_ns[k], queue_ns[2 * tenants]) << "no tenant waits behind another";
+    }
+    EXPECT_NE(batch_ids.front(), batch_ids.back()) << "each burst fires its own batch";
+
+    std::int64_t per_tenant_sum = 0;
+    for (int t = 0; t < tenants; ++t)
+      per_tenant_sum += metrics.counter_value(
+          "spi_serve_jobs_total", {{"app", "speech"}, {"tenant", "t" + std::to_string(t)}});
+    EXPECT_EQ(per_tenant_sum, server.jobs_served());
+    EXPECT_EQ(server.jobs_served(), 4 * tenants);
+  }
 }
 
 // --- multi-client soak over real sockets (TSan-clean in CI) ---------------

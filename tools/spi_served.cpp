@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
     spi::serve::PlanServer server(options);
     server.start();
     std::fprintf(stderr, "spi_served: speech plan %s, particle plan %s\n",
-                 server.speech_plan_key().c_str(), server.particle_plan_key().c_str());
+                 server.plan_key("speech").c_str(), server.plan_key("particle").c_str());
     std::fprintf(stderr, "spi_served: listening on %s:%d\n", options.bind_address.c_str(),
                  server.port());
     std::fflush(stderr);
