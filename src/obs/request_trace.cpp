@@ -39,6 +39,15 @@ void append_us(std::string& out, double us) {
   out += buf;
 }
 
+/// A sampled-latency quantile in us; null when nothing has sampled, so
+/// "no data" never reads as a 0 us latency.
+void append_quantile_us(std::string& out, const Histogram& seconds, double q) {
+  if (seconds.count() == 0)
+    out += "null";
+  else
+    append_us(out, seconds.quantile(q) * 1e6);
+}
+
 }  // namespace
 
 const char* request_stage_name(RequestStage stage) {
@@ -253,9 +262,9 @@ void RequestTracer::append_rollup_json(std::string& out, const TenantSeries& ser
   out += ", \"us_mean\": ";
   append_us(out, static_cast<double>(series.e2e_ns->value()) / n / 1e3);
   out += ", \"us_p50\": ";
-  append_us(out, series.e2e_seconds->quantile(0.50) * 1e6);
+  append_quantile_us(out, *series.e2e_seconds, 0.50);
   out += ", \"us_p99\": ";
-  append_us(out, series.e2e_seconds->quantile(0.99) * 1e6);
+  append_quantile_us(out, *series.e2e_seconds, 0.99);
   out += "}, \"stages\": {";
   for (std::size_t k = 0; k < kRequestStageCount; ++k) {
     if (k != 0) out += ", ";
@@ -265,7 +274,7 @@ void RequestTracer::append_rollup_json(std::string& out, const TenantSeries& ser
     out += ", \"us_mean\": ";
     append_us(out, static_cast<double>(series.stage_ns[k]->value()) / n / 1e3);
     out += ", \"us_p99\": ";
-    append_us(out, series.stage_seconds[k]->quantile(0.99) * 1e6);
+    append_quantile_us(out, *series.stage_seconds[k], 0.99);
     out += "}";
   }
   out += "}";

@@ -133,10 +133,13 @@ class RequestTracer {
   [[nodiscard]] std::int64_t now_ns() const;
 
   /// Allocates the next span id (1-based). The sampling decision is a
-  /// pure function of the id — "head" sampling: decided at ingest.
+  /// pure function of the id — "head" sampling: decided at ingest. It
+  /// hashes the id (splitmix64) rather than taking it modulo the period,
+  /// so ids that arrive in a cycle (round-robin tenants) cannot alias
+  /// with the period and starve every tenant but one of samples.
   [[nodiscard]] std::uint64_t begin_span();
   [[nodiscard]] bool is_sampled(std::uint64_t id) const {
-    return options_.enabled && (id - 1) % static_cast<std::uint64_t>(sample_every_) == 0;
+    return options_.enabled && splitmix64(id) % static_cast<std::uint64_t>(sample_every_) == 0;
   }
 
   /// Resolves (and caches) the instrument handles for `tenant`; returns
@@ -194,10 +197,19 @@ class RequestTracer {
 
   /// Appends one tenant's rollup fields (no enclosing braces): request
   /// totals and per-stage means from the complete counters, percentiles
-  /// from the sampled histograms.
+  /// from the sampled histograms (null while nothing has sampled).
   void append_rollup_json(std::string& out, const TenantSeries& series) const;
 
  private:
+  /// The splitmix64 finalizer: full avalanche, so consecutive ids hash
+  /// to independent draws.
+  static std::uint64_t splitmix64(std::uint64_t x) {
+    x += 0x9E3779B97F4A7C15ULL;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+  }
+
   /// The storage half of completing a span: sampled ring + histograms,
   /// outlier reservoir. Shared by complete() and complete_batch().
   void store_span(TenantSeries& series, const RequestSpan& span, std::int64_t e2e,

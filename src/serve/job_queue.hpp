@@ -17,20 +17,22 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <utility>
 
 namespace spi::serve {
 
 /// One admitted job waiting for its batch: which burst slot to answer,
 /// which served model runs it, and the raw request body (parsed at drain
-/// time).
+/// time; it views the burst's request, which outlives the synchronous
+/// drain).
 /// The trace fields are the job's request-lifecycle context
 /// (obs/request_trace.hpp): span id plus the ingest and enqueue stamps,
 /// carried through the queue so the drain can attribute queue wait.
 struct QueuedJob {
   std::size_t request_index = 0;  ///< slot in the burst's response vector
   std::size_t model = 0;          ///< index into the server's models
-  std::string body;               ///< request JSON
+  std::string_view body;          ///< request JSON
   std::uint64_t span_id = 0;      ///< 0 = untraced
   std::int64_t ingest_ns = 0;     ///< burst entry (tracer clock)
   std::int64_t enqueued_ns = 0;   ///< enqueue stamp (shared per burst)

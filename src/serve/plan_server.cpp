@@ -68,6 +68,7 @@ PlanServer::PlanServer(PlanServerOptions options)
   tracer_ = std::make_unique<obs::RequestTracer>(options_.trace, *metrics_);
 
   models_ = make_builtin_models(options_, metrics_);
+  model_series_.resize(models_.size());
   for (const auto& model : models_) {
     // The recorders stay attached for the server's lifetime but record
     // only when somebody will drain the events: continuously when the
@@ -202,7 +203,9 @@ obs::HttpResponse PlanServer::handle_plan_post(const obs::HttpRequest& request) 
 
 void PlanServer::route_job(std::size_t index, const obs::HttpRequest& request,
                            std::vector<obs::HttpResponse>& responses) {
-  metrics_->counter("spi_serve_requests_total", {{"route", "job"}}).inc();
+  if (job_requests_ == nullptr)
+    job_requests_ = &metrics_->counter("spi_serve_requests_total", {{"route", "job"}});
+  job_requests_->inc();
   const auto app = json_string_field(request.body, "app");
   std::size_t model = 0;
   while (app && model < models_.size() && models_[model]->app != *app) ++model;
@@ -217,13 +220,20 @@ void PlanServer::route_job(std::size_t index, const obs::HttpRequest& request,
     responses[index] = bad_request("job \"tenant\" must be a string without escapes");
     return;
   }
-  const std::string tenant = tenant_field.value_or("default");
-  auto [it, inserted] = tenants_.try_emplace(tenant, TenantState(tenant));
+  const std::string_view tenant = tenant_field.value_or("default");
+  auto it = tenants_.find(tenant);
+  if (it == tenants_.end()) {
+    it = tenants_.try_emplace(std::string(tenant), std::string(tenant), models_.size()).first;
+    it->second.series = tracer_->tenant_series(it->first);
+  }
   TenantState& state = it->second;
-  if (inserted) state.series = tracer_->tenant_series(tenant);
   const AdmissionDecision decision = admission_.admit_job(state.queue.depth());
   if (!decision.admitted) {
-    metrics_->counter("spi_serve_rejects_total", {{"reason", decision.reason}}).inc();
+    // A job is only ever refused for queue depth.
+    if (queue_rejects_ == nullptr)
+      queue_rejects_ =
+          &metrics_->counter("spi_serve_rejects_total", {{"reason", decision.reason}});
+    queue_rejects_->inc();
     responses[index] = reject_response(decision.reason);
     if (state.series != nullptr) {
       // A 429 is a complete (short) lifecycle: ingest -> admission
@@ -231,7 +241,7 @@ void PlanServer::route_job(std::size_t index, const obs::HttpRequest& request,
       const std::uint64_t id = tracer_->begin_span();
       tracer_->complete_batch(*state.series,
                               span_ending(429, burst_ingest_ns_, {tracer_->now_ns()}),
-                              {&id, 1}, tenant, models_[model]->app);
+                              {&id, 1}, it->first, models_[model]->app);
     }
     return;
   }
@@ -286,12 +296,15 @@ void PlanServer::drain_burst(std::vector<obs::HttpResponse>& responses) {
 
   for (auto& [key, jobs] : batches) {
     ServedModel& model = *models_[key.first];
-    const obs::Labels app_label{{"app", model.app}};
-    metrics_->counter("spi_serve_batches_total", app_label).inc();
-    metrics_
-        ->histogram("spi_serve_batch_jobs", obs::Histogram::exponential_bounds(1.0, 2.0, 11),
-                    app_label)
-        .observe(static_cast<double>(jobs.size()));
+    ModelSeries& series = model_series_[key.first];
+    if (series.batches == nullptr) {
+      const obs::Labels app_label{{"app", model.app}};
+      series.batches = &metrics_->counter("spi_serve_batches_total", app_label);
+      series.batch_jobs = &metrics_->histogram(
+          "spi_serve_batch_jobs", obs::Histogram::exponential_bounds(1.0, 2.0, 11), app_label);
+    }
+    series.batches->inc();
+    series.batch_jobs->observe(static_cast<double>(jobs.size()));
     const std::int64_t batch_id = next_batch_id_++;
     // Flight bridge, paced much coarser than span sampling (collect is
     // the one expensive capture): drop whatever the rings still hold,
@@ -345,9 +358,13 @@ void PlanServer::drain_burst(std::vector<obs::HttpResponse>& responses) {
       span_ids_scratch_.clear();
       for (end = begin; end < jobs.size() && jobs[end].tenant == &tenant; ++end)
         if (jobs[end].job.span_id != 0) span_ids_scratch_.push_back(jobs[end].job.span_id);
-      if (status == 200)
-        metrics_->counter("spi_serve_jobs_total", {{"app", model.app}, {"tenant", name}})
-            .inc(static_cast<std::int64_t>(end - begin));
+      if (status == 200) {
+        obs::Counter*& served = tenant.jobs_total[key.first];
+        if (served == nullptr)
+          served =
+              &metrics_->counter("spi_serve_jobs_total", {{"app", model.app}, {"tenant", name}});
+        served->inc(static_cast<std::int64_t>(end - begin));
+      }
       if (!span_ids_scratch_.empty())
         tracer_->complete_batch(*tenant.series, span, span_ids_scratch_, name, model.app);
     }
@@ -391,9 +408,10 @@ void PlanServer::handle_burst(std::span<obs::HttpRequest> requests,
   const double seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
-  metrics_
-      ->histogram("spi_serve_burst_seconds", obs::Histogram::exponential_bounds(1e-6, 4.0, 10))
-      .observe(seconds);
+  if (burst_seconds_ == nullptr)
+    burst_seconds_ = &metrics_->histogram("spi_serve_burst_seconds",
+                                          obs::Histogram::exponential_bounds(1e-6, 4.0, 10));
+  burst_seconds_->observe(seconds);
 }
 
 std::string PlanServer::plan_key(std::string_view app) const {

@@ -110,13 +110,22 @@ class PlanServer {
   [[nodiscard]] std::string plan_key(std::string_view app) const;
 
  private:
-  /// One tenant's serving state: the queue plus the tracer's cached
-  /// instrument handles (resolved once — per-request stamping must not
-  /// take the registry lock).
+  /// One tenant's serving state: the queue plus cached instrument
+  /// handles (resolved once — per-request stamping must not take the
+  /// registry lock).
   struct TenantState {
-    explicit TenantState(std::string tenant) : queue(std::move(tenant)) {}
+    TenantState(std::string tenant, std::size_t models)
+        : queue(std::move(tenant)), jobs_total(models, nullptr) {}
     JobQueue queue;
     obs::TenantSeries* series = nullptr;
+    /// spi_serve_jobs_total{app,tenant} per model, resolved at the
+    /// tenant's first served job of that model.
+    std::vector<obs::Counter*> jobs_total;
+  };
+  /// A model's batch instruments, resolved at its first batch.
+  struct ModelSeries {
+    obs::Counter* batches = nullptr;       ///< spi_serve_batches_total{app}
+    obs::Histogram* batch_jobs = nullptr;  ///< spi_serve_batch_jobs{app}
   };
 
   [[nodiscard]] obs::HttpResponse handle_get(const obs::HttpRequest& request);
@@ -135,7 +144,7 @@ class PlanServer {
 
   PlanCache cache_;
   AdmissionController admission_;
-  std::map<std::string, TenantState> tenants_;
+  std::map<std::string, TenantState, std::less<>> tenants_;
   std::unique_ptr<obs::RequestTracer> tracer_;
   std::int64_t next_batch_id_ = 0;
   std::int64_t burst_ingest_ns_ = 0;  ///< tracer stamp at handle_burst entry
@@ -145,6 +154,13 @@ class PlanServer {
   std::vector<std::uint64_t> span_ids_scratch_;  ///< reused per drained batch
 
   std::vector<std::unique_ptr<ServedModel>> models_;
+  std::vector<ModelSeries> model_series_;  ///< parallel to models_
+
+  // Hot-path instruments, each resolved on first use so a series shows
+  // up in /metrics exactly when it is first counted.
+  obs::Counter* job_requests_ = nullptr;     ///< spi_serve_requests_total{route="job"}
+  obs::Counter* queue_rejects_ = nullptr;    ///< spi_serve_rejects_total{reason="queue-depth"}
+  obs::Histogram* burst_seconds_ = nullptr;  ///< spi_serve_burst_seconds
 
   std::unique_ptr<obs::HttpServer> http_;
   std::int64_t jobs_served_ = 0;

@@ -1,17 +1,27 @@
 #include "serve/request.hpp"
 
-#include <cstdlib>
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 
 namespace spi::serve {
 
 namespace {
 
-constexpr std::string_view kWhitespace = " \t\r\n";
+constexpr bool is_space(char c) { return c == ' ' || c == '\t' || c == '\r' || c == '\n'; }
 
-/// Position just past the top-level `"key":` (skipping whitespace), or
-/// npos. Nested objects and arrays are skipped, and so is every string's
-/// content (escapes included), so neither a nested key nor a string
-/// value that merely contains the key matches.
+/// Position of the first non-whitespace character at or after `at`
+/// (body size when there is none).
+std::size_t skip_whitespace(std::string_view s, std::size_t at) {
+  while (at < s.size() && is_space(s[at])) ++at;
+  return at;
+}
+
+/// Position of the value of the top-level `"key":` (whitespace
+/// skipped), or npos when the key or its value is missing. Nested
+/// objects and arrays are skipped, and so is every string's content
+/// (escapes included), so neither a nested key nor a string value that
+/// merely contains the key matches.
 std::size_t value_start(std::string_view body, std::string_view key) {
   int depth = 0;
   for (std::size_t p = 0; p < body.size(); ++p) {
@@ -21,23 +31,56 @@ std::size_t value_start(std::string_view body, std::string_view key) {
       while (++p < body.size() && body[p] != '"')
         if (body[p] == '\\') ++p;
       if (p >= body.size()) return std::string_view::npos;  // unterminated string
-      const std::size_t colon = body.find_first_not_of(kWhitespace, p + 1);
+      const std::size_t colon = skip_whitespace(body, p + 1);
       if (depth == 1 && colon < body.size() && body[colon] == ':' &&
-          body.substr(open + 1, p - open - 1) == key)
-        return body.find_first_not_of(kWhitespace, colon + 1);
+          body.substr(open + 1, p - open - 1) == key) {
+        const std::size_t value = skip_whitespace(body, colon + 1);
+        return value < body.size() ? value : std::string_view::npos;
+      }
     }
   }
   return std::string_view::npos;
 }
 
+/// Advances `p` past a run of decimal digits; false when there is none.
+bool skip_digits(const char*& p, const char* end) {
+  const char* const first = p;
+  while (p < end && static_cast<unsigned>(*p - '0') < 10) ++p;
+  return p != first;
+}
+
+/// Parses the JSON number at `at`, advancing `at` past it; nullopt when
+/// the text there is not a JSON number or not a finite double (from_chars
+/// reports 1e400 out of range).
+std::optional<double> read_number(std::string_view s, std::size_t& at) {
+  const char* const first = s.data() + at;
+  const char* const end = s.data() + s.size();
+  const char* p = first;
+  if (p < end && *p == '-') ++p;
+  if (p < end && *p == '0')
+    ++p;
+  else if (!skip_digits(p, end))
+    return std::nullopt;
+  if (p < end && *p == '.' && !skip_digits(++p, end)) return std::nullopt;
+  if (p < end && (*p == 'e' || *p == 'E')) {
+    if (++p < end && (*p == '+' || *p == '-')) ++p;
+    if (!skip_digits(p, end)) return std::nullopt;
+  }
+  double value = 0.0;
+  const auto [parsed, ec] = std::from_chars(first, p, value);
+  if (ec != std::errc() || parsed != p) return std::nullopt;
+  at += static_cast<std::size_t>(p - first);
+  return value;
+}
+
 }  // namespace
 
-std::optional<std::string> json_string_field(std::string_view body, std::string_view key) {
+std::optional<std::string_view> json_string_field(std::string_view body, std::string_view key) {
   const std::size_t p = value_start(body, key);
-  if (p == std::string_view::npos || p >= body.size() || body[p] != '"') return std::nullopt;
+  if (p == std::string_view::npos || body[p] != '"') return std::nullopt;
   const std::size_t end = body.find_first_of("\"\\", p + 1);
   if (end == std::string_view::npos || body[end] != '"') return std::nullopt;  // or escaped
-  return std::string(body.substr(p + 1, end - p - 1));
+  return body.substr(p + 1, end - p - 1);
 }
 
 bool json_has_field(std::string_view body, std::string_view key) {
@@ -45,29 +88,44 @@ bool json_has_field(std::string_view body, std::string_view key) {
 }
 
 std::optional<double> json_number_field(std::string_view body, std::string_view key) {
-  const std::size_t p = value_start(body, key);
-  if (p == std::string_view::npos || p >= body.size()) return std::nullopt;
-  const char* start = body.data() + p;
-  char* parsed_end = nullptr;
-  const double value = std::strtod(start, &parsed_end);
-  if (parsed_end == start) return std::nullopt;
+  std::size_t at = value_start(body, key);
+  if (at == std::string_view::npos) return std::nullopt;
+  const auto value = read_number(body, at);
+  at = skip_whitespace(body, at);
+  if (!value || at >= body.size() || (body[at] != ',' && body[at] != '}')) return std::nullopt;
   return value;
 }
 
 std::optional<std::vector<double>> json_array_field(std::string_view body, std::string_view key) {
-  const std::size_t p = value_start(body, key);
-  if (p == std::string_view::npos || p >= body.size() || body[p] != '[') return std::nullopt;
+  std::size_t at = value_start(body, key);
+  if (at == std::string_view::npos || body[at] != '[') return std::nullopt;
+  // Every element but the last is followed by a comma: one allocation.
+  const std::size_t close = body.find(']', at);
+  if (close == std::string_view::npos) return std::nullopt;  // unterminated array
+  const auto commas = std::count(body.begin() + at, body.begin() + close, ',');
   std::vector<double> values;
-  for (std::size_t at = p + 1;;) {
-    at = body.find_first_not_of(" \t\r\n,", at);
-    if (at == std::string_view::npos) return std::nullopt;  // unterminated array
+  values.reserve(static_cast<std::size_t>(commas) + 1);
+  at = skip_whitespace(body, at + 1);
+  if (at < body.size() && body[at] == ']') return values;
+  for (;;) {
+    const auto value = read_number(body, at);
+    if (!value) return std::nullopt;  // not a number
+    values.push_back(*value);
+    at = skip_whitespace(body, at);
+    if (at >= body.size()) return std::nullopt;  // unterminated array
     if (body[at] == ']') return values;
-    const char* const start = body.data() + at;
-    char* parsed_end = nullptr;
-    values.push_back(std::strtod(start, &parsed_end));
-    if (parsed_end == start) return std::nullopt;  // not a number
-    at += static_cast<std::size_t>(parsed_end - start);
+    if (body[at] != ',') return std::nullopt;
+    at = skip_whitespace(body, at + 1);
   }
+}
+
+void append_double(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  char buf[32];  // the longest shortest form, "-2.2250738585072014e-308", is 24
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 }  // namespace spi::serve

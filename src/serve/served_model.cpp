@@ -1,7 +1,6 @@
 #include "serve/served_model.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <numeric>
 #include <optional>
 
@@ -33,6 +32,21 @@ std::optional<std::uint64_t> integer_field(std::string_view body, std::string_vi
   return static_cast<std::uint64_t>(*value);
 }
 
+/// Job field `key` as an array of numbers, `fallback()` when the body has
+/// no such field; nullopt when the field is present but is not an array
+/// of finite JSON numbers.
+template <class Fallback>
+std::optional<std::vector<double>> array_field(std::string_view body, std::string_view key,
+                                               Fallback fallback) {
+  auto values = json_array_field(body, key);
+  if (!values && !json_has_field(body, key)) return fallback();
+  return values;
+}
+
+std::string bad_array(std::string_view key) {
+  return "job \"" + std::string(key) + "\" must be an array of finite JSON numbers";
+}
+
 /// Deterministic synthetic speech frame: a splitmix-style stream keyed
 /// by the job seed, so identical requests produce identical jobs (the
 /// loadgen relies on this for cheap request bodies).
@@ -52,13 +66,10 @@ std::vector<double> synth_coeffs(std::size_t order) {
   return coeffs;
 }
 
-void append_double(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
 void append_doubles(std::string& out, std::span<const double> values) {
+  // A double takes at most 24 characters and a comma: one allocation,
+  // with room left for the closing members.
+  out.reserve(out.size() + 25 * values.size() + 32);
   out += '[';
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i != 0) out += ',';
@@ -77,9 +88,11 @@ class ServedSpeech final : public ServedModelOf<apps::ErrorGenApp, SpeechJob> {
   std::variant<Spec, std::string> parse(std::string_view body) const override {
     const apps::SpeechParams& params = app_->params();
     Spec spec;
-    if (auto frame = json_array_field(body, "frame")) {
-      auto coeffs = json_array_field(body, "coeffs").value_or(synth_coeffs(params.order));
-      spec = {{std::move(*frame), std::move(coeffs)}, true};
+    if (auto frame = json_array_field(body, "frame"); frame || json_has_field(body, "frame")) {
+      if (!frame) return bad_array("frame");
+      auto coeffs = array_field(body, "coeffs", [&] { return synth_coeffs(params.order); });
+      if (!coeffs) return bad_array("coeffs");
+      spec = {{std::move(*frame), std::move(*coeffs)}, true};
     } else {
       const auto n =
           integer_field(body, "frame_size", params.frame_size, 1, params.max_frame_size);
@@ -126,12 +139,17 @@ class ServedParticle final : public ServedModelOf<apps::ParticleFilterApp, Parti
     if (!seed) return kBadSeed;
     Spec spec{.job = {.trajectory = {}, .seed = *seed}};
     dsp::CrackTrajectory& trajectory = spec.job.trajectory;
-    if (auto observations = json_array_field(body, "observations")) {
+    if (auto observations = json_array_field(body, "observations");
+        observations || json_has_field(body, "observations")) {
+      if (!observations) return bad_array("observations");
       trajectory.observations = std::move(*observations);
       if (trajectory.observations.empty()) return "particle job has no observations";
       if (trajectory.observations.size() > kMaxSteps) return "particle job steps out of range";
-      trajectory.truth = json_array_field(body, "truth")
-                             .value_or(std::vector<double>(trajectory.observations.size(), 0.0));
+      auto truth = array_field(body, "truth", [&] {
+        return std::vector<double>(trajectory.observations.size(), 0.0);
+      });
+      if (!truth) return bad_array("truth");
+      trajectory.truth = std::move(*truth);
       // Rejected here, not in the batch: the RMSE would throw there and
       // fail every job batched with this one.
       if (trajectory.truth.size() != trajectory.observations.size())

@@ -1,8 +1,9 @@
 /// \file test_request_trace.cpp
 /// Unit tests for the request-lifecycle tracer (obs/request_trace.hpp):
-/// head-sampling cadence, ring wrap, the slowest-N outlier reservoir,
-/// the tenant-cardinality cap, batch-vs-single completion equivalence,
-/// flight-bridge pacing and the /trace JSON shape. The companion serve
+/// head-sampling hash and per-tenant share, ring wrap, the slowest-N
+/// outlier reservoir, the tenant-cardinality cap, batch-vs-single
+/// completion equivalence, flight-bridge pacing, the /trace JSON shape
+/// and the rollup's null percentiles. The companion serve
 /// integration tests (test_serve.cpp) exercise the same tracer through
 /// PlanServer::handle_burst.
 
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
+#include "obs/json_lint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
 
@@ -46,16 +48,57 @@ TEST(RequestSpanTest, StagesTileEndToEnd) {
   EXPECT_EQ(span.e2e_ns(), 12'345);
 }
 
-TEST(RequestTracerTest, HeadSamplingIsPeriodicFromSpanOne) {
+TEST(RequestTracerTest, HeadSamplingHashesTheSpanId) {
   MetricRegistry registry;
   RequestTracerOptions options;
   options.sample_every = 4;
   RequestTracer tracer(options, registry);
+  RequestTracer twin(options, registry);
   std::vector<bool> sampled;
   for (int i = 0; i < 9; ++i) sampled.push_back(tracer.is_sampled(tracer.begin_span()));
-  EXPECT_EQ(sampled, (std::vector<bool>{true, false, false, false, true, false, false, false,
+  // Pinned: splitmix64(id) % 4 == 0 for ids 6 and 9 among 1..9 — a pure
+  // function of the id, so every tracer decides alike.
+  EXPECT_EQ(sampled, (std::vector<bool>{false, false, false, false, false, true, false, false,
                                         true}));
+  for (std::uint64_t id = 1; id <= 9; ++id) EXPECT_EQ(twin.is_sampled(id), sampled[id - 1]);
   EXPECT_EQ(tracer.requests_total(), 9);
+
+  // The long-run rate is 1 in sample_every.
+  options.sample_every = 64;
+  RequestTracer rate(options, registry);
+  std::int64_t kept = 0;
+  for (std::uint64_t id = 1; id <= 64'000; ++id) kept += rate.is_sampled(id) ? 1 : 0;
+  EXPECT_GT(kept, 900);
+  EXPECT_LT(kept, 1'100);
+}
+
+/// Round-robin tenants hand out span ids in a cycle; a modulus sampler
+/// keeps only the ids of one residue class, i.e. one tenant. The hash
+/// must give every tenant its share.
+TEST(RequestTracerTest, HeadSamplingDoesNotAliasRoundRobinTenants) {
+  constexpr std::int64_t kEvery = 64;
+  constexpr std::int64_t kRequests = 1 << 16;
+  for (const std::int64_t tenants : {2, 3, 4}) {
+    MetricRegistry registry;
+    RequestTracerOptions options;
+    options.sample_every = kEvery;
+    RequestTracer tracer(options, registry);
+    std::vector<TenantSeries*> series;
+    for (std::int64_t t = 0; t < tenants; ++t)
+      series.push_back(tracer.tenant_series("t" + std::to_string(t)));
+    for (std::int64_t i = 0; i < kRequests; ++i) {
+      const std::uint64_t id = tracer.begin_span();
+      TenantSeries& s = *series[static_cast<std::size_t>(i % tenants)];
+      tracer.complete(s, make_span(id, 5'000, tracer.is_sampled(id)), s.name, "speech");
+    }
+    // Each tenant's sampled count is within 25% of requests/(N·every).
+    const double expected = static_cast<double>(kRequests) / static_cast<double>(tenants * kEvery);
+    for (const TenantSeries* s : series) {
+      const auto sampled = static_cast<double>(s->e2e_seconds->count());
+      EXPECT_GT(sampled, 0.75 * expected) << tenants << " tenants, " << s->name;
+      EXPECT_LT(sampled, 1.25 * expected) << tenants << " tenants, " << s->name;
+    }
+  }
 }
 
 TEST(RequestTracerTest, OptionClampsAndDisabledTracer) {
@@ -158,7 +201,7 @@ TEST(RequestTracerTest, CompleteBatchMatchesPerSpanCompletion) {
   // One drained batch = identical spans, distinct ids (1..5).
   const std::vector<std::uint64_t> ids = {1, 2, 3, 4, 5};
   for (const std::uint64_t id : ids) {
-    RequestSpan span = make_span(id, 10'000, (id - 1) % 2 == 0);
+    RequestSpan span = make_span(id, 10'000, single.is_sampled(id));
     single.complete(*ss, span, "t0", "speech");
   }
   batch.complete_batch(*bs, make_span(0, 10'000, false), ids, "t0", "speech");
@@ -169,7 +212,7 @@ TEST(RequestTracerTest, CompleteBatchMatchesPerSpanCompletion) {
   for (std::size_t k = 0; k < kRequestStageCount; ++k)
     EXPECT_EQ(ss->stage_ns[k]->value(), bs->stage_ns[k]->value()) << "stage " << k;
   EXPECT_EQ(single.sampled_total(), batch.sampled_total());
-  EXPECT_EQ(batch.sampled_total(), 3) << "ids 1, 3, 5 head-sample at every-2";
+  EXPECT_EQ(batch.sampled_total(), 3) << "ids 2, 4, 5 head-sample at every-2";
   EXPECT_EQ(ss->e2e_ns->value(), 50'000);
 }
 
@@ -181,8 +224,7 @@ TEST(RequestTracerTest, CompleteBatchCounts429AndOffersOutlierWhenUnsampled) {
   RequestTracer tracer(options, registry);
   TenantSeries* series = tracer.tenant_series("t0");
 
-  // Span id 1 always head-samples ((id - 1) % N == 0), so an entirely
-  // unsampled batch starts at id 2.
+  // None of ids 2..4 head-samples at this period.
   const std::vector<std::uint64_t> ids = {2, 3, 4};
   tracer.complete_batch(*series, make_span(0, 80'000, false, 429), ids, "t0", "speech");
   EXPECT_EQ(series->rejects->value(), 3);
@@ -242,6 +284,41 @@ TEST(RequestTracerTest, RollupJsonReportsMeansAndStageKeys) {
   EXPECT_NE(out.find("\"us_mean\": 20.0"), std::string::npos) << out;
   for (const char* stage : {"admission", "queue", "batch", "exec", "reply"})
     EXPECT_NE(out.find(std::string("\"") + stage + "\""), std::string::npos) << stage;
+}
+
+TEST(RequestTracerTest, RollupRendersEmptyPercentilesAsNull) {
+  MetricRegistry registry;
+  RequestTracerOptions options;
+  options.sample_every = 1'000'000;  // nothing head-samples
+  RequestTracer tracer(options, registry);
+  TenantSeries* series = tracer.tenant_series("t0");
+  ASSERT_FALSE(tracer.is_sampled(2));
+  tracer.complete(*series, make_span(2, 10'000, false), "t0", "speech");
+
+  // A mean from the complete counters, but no sampled latency: "no
+  // data" must not read as 0 us.
+  std::string out = "{";
+  tracer.append_rollup_json(out, *series);
+  out += "}";
+  EXPECT_TRUE(detail::json_validate(out).empty()) << out;
+  EXPECT_NE(out.find("\"us_mean\": 10.0"), std::string::npos) << out;
+  EXPECT_NE(out.find("\"us_p50\": null"), std::string::npos) << out;
+  EXPECT_EQ(out.find("\"us_p99\": 0.0"), std::string::npos) << out;
+  for (const char* stage : {"admission", "queue", "batch", "exec", "reply"})
+    EXPECT_NE(out.find(std::string("\"") + stage + "\": {\"ns_total\""), std::string::npos);
+  std::size_t nulls = 0;
+  for (std::size_t at = out.find("null"); at != std::string::npos; at = out.find("null", at + 1))
+    ++nulls;
+  EXPECT_EQ(nulls, 2u + kRequestStageCount) << "e2e p50 + p99 and each stage's p99: " << out;
+
+  // Once a span samples, the percentiles are numbers again.
+  options.sample_every = 1;
+  RequestTracer sampled(options, registry);
+  TenantSeries* s1 = sampled.tenant_series("t1");
+  sampled.complete(*s1, make_span(1, 10'000, true), "t1", "speech");
+  std::string filled;
+  sampled.append_rollup_json(filled, *s1);
+  EXPECT_EQ(filled.find("null"), std::string::npos) << filled;
 }
 
 /// Aggregate counters are relaxed atomics: a scrape thread reading while

@@ -13,7 +13,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <bit>
+#include <cfloat>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -179,8 +182,8 @@ TEST(PlanServer, BatchedSpeechFiringBitIdenticalToSingleJobRuns) {
     ASSERT_EQ(responses[j].status, 200) << responses[j].body;
     const auto errors = json_array_field(responses[j].body, "errors");
     ASSERT_TRUE(errors.has_value()) << responses[j].body;
-    // %.17g serialization round-trips doubles exactly, so equality here
-    // is bit-identity of the computed errors.
+    // The shortest round-trip serialization reads back exactly, so
+    // equality here is bit-identity of the computed errors.
     EXPECT_EQ(*errors, reference_app.compute_errors_parallel(frames[j], coeffs[j]))
         << "batched job " << j << " diverged from its single-job run";
   }
@@ -389,6 +392,196 @@ TEST(ServeRequest, ScannerSkipsNestedValuesAndStringContents) {
   EXPECT_FALSE(json_has_field(R"({"a":"x","b)", "b")) << "unterminated key";
   EXPECT_EQ(json_array_field(R"({"v":[1, 2 ,3]})", "v"), (std::vector<double>{1, 2, 3}));
   EXPECT_FALSE(json_array_field(R"({"v":[1,2)", "v").has_value()) << "unterminated array";
+}
+
+TEST(PlanServer, MalformedArrayFieldsAnswer400) {
+  // A present array field must be an array of numbers: never a silent
+  // fallback to a synthetic job or to default coefficients / truth.
+  // Each bad body with the field its 400 must name:
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {R"({"app":"speech","frame":[1,"x"],"coeffs":[0.5]})", "frame"},
+      {R"({"app":"speech","frame":"abc","coeffs":[0.5]})", "frame"},
+      {R"({"app":"speech","frame":[1,,2],"coeffs":[0.5]})", "frame"},
+      {R"({"app":"speech","frame":[0.25,0.5],"coeffs":[0.5,true]})", "coeffs"},
+      {R"({"app":"speech","frame":[0.25,0.5],"coeffs":{"c":1}})", "coeffs"},
+      {R"({"app":"particle","observations":[0.1,"0.2"],"truth":[0.1,0.2]})", "observations"},
+      {R"({"app":"particle","observations":null})", "observations"},
+      {R"({"app":"particle","observations":[0.1,0.2],"truth":[0.1 0.2]})", "truth"},
+      {R"({"app":"particle","observations":[0.1,0.2],"truth":"zero"})", "truth"},
+  };
+  std::vector<std::string> bodies;
+  for (const auto& [body, field] : bad) bodies.push_back(body);
+  // The same shapes, well formed, still serve (and absent coeffs / truth
+  // still take their defaults).
+  bodies.push_back(R"({"app":"speech","frame":[0.25,0.5],"coeffs":[0.5]})");
+  bodies.push_back(R"({"app":"speech","frame":[0.25,0.5]})");
+  bodies.push_back(R"({"app":"particle","observations":[0.1,0.2],"truth":[0.1,0.2]})");
+  bodies.push_back(R"({"app":"particle","observations":[0.1,0.2]})");
+
+  PlanServer server;
+  std::vector<obs::HttpRequest> requests = job_burst(bodies);
+  std::vector<obs::HttpResponse> responses;
+  server.handle_burst(requests, responses);
+  ASSERT_EQ(responses.size(), bodies.size());
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_EQ(responses[i].status, 400) << bodies[i] << " -> " << responses[i].body;
+    EXPECT_NE(responses[i].body.find("\\\"" + bad[i].second + "\\\""), std::string::npos)
+        << "the 400 names the field: " << responses[i].body;
+  }
+  for (std::size_t i = bad.size(); i < bodies.size(); ++i)
+    EXPECT_EQ(responses[i].status, 200) << bodies[i] << " -> " << responses[i].body;
+  EXPECT_EQ(server.jobs_served(), 4);
+}
+
+TEST(PlanServer, NonFiniteValuesNeverReachOrLeaveTheServer) {
+  // 1e400 has no double: a 400 at parse time, not an inf in the batch.
+  // A finite input can still overflow inside the kernel; that result
+  // has no JSON spelling and is rendered null, so every 200 body stays
+  // valid JSON.
+  std::vector<obs::HttpRequest> requests = job_burst({
+      R"({"app":"speech","frame":[1,1e400],"coeffs":[0.5]})",
+      R"({"app":"particle","observations":[0.1,-1e400]})",
+      R"({"app":"speech","frame":[1e308,-1e308,1e308,-1e308],"coeffs":[4]})",
+  });
+  PlanServer server;
+  std::vector<obs::HttpResponse> responses;
+  server.handle_burst(requests, responses);
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_EQ(responses[0].status, 400) << responses[0].body;
+  EXPECT_EQ(responses[1].status, 400) << responses[1].body;
+  ASSERT_EQ(responses[2].status, 200) << responses[2].body;
+  EXPECT_NE(responses[2].body.find("null"), std::string::npos) << responses[2].body;
+  EXPECT_EQ(responses[2].body.find("inf"), std::string::npos) << responses[2].body;
+  EXPECT_TRUE(obs::detail::json_validate(responses[2].body).empty()) << responses[2].body;
+}
+
+TEST(ServeRequest, NumbersFollowTheJsonGrammar) {
+  for (const char* value : {"+1", "0x10", "1e400", "-1e400", "01", ".5", "5.", "1e", "-",
+                            "1.5e+", "nan", "inf", "1_0", "0x"}) {
+    const std::string body = std::string(R"({"n":)") + value + "}";
+    EXPECT_FALSE(json_number_field(body, "n").has_value()) << value;
+    EXPECT_FALSE(json_array_field(std::string(R"({"v":[0,)") + value + "]}", "v").has_value())
+        << value;
+  }
+  for (const auto& [text, value] : std::vector<std::pair<std::string, double>>{
+           {"0", 0.0}, {"-0", -0.0}, {"12", 12.0}, {"-1.5", -1.5}, {"2e3", 2000.0},
+           {"2E-3", 0.002}, {"1.25e+2", 125.0}}) {
+    EXPECT_EQ(json_number_field(R"({"n": )" + text + " }", "n"), value) << text;
+    EXPECT_EQ(json_array_field(R"({"v":[ )" + text + " ]}", "v"), std::vector<double>{value})
+        << text;
+  }
+
+  // The same spellings in /job fields: each a 400, numeric or array.
+  std::vector<std::string> bodies;
+  for (const char* value : {"+1", "0x10", "1e400"}) {
+    const std::string v = value;
+    bodies.push_back(R"({"app":"speech","frame_size":)" + v + R"(,"order":2,"seed":1})");
+    bodies.push_back(R"({"app":"speech","frame_size":8,"order":)" + v + R"(,"seed":1})");
+    bodies.push_back(R"({"app":"particle","steps":4,"seed":)" + v + "}");
+    bodies.push_back(R"({"app":"speech","frame":[0.5,)" + v + R"(],"coeffs":[0.5]})");
+    bodies.push_back(R"({"app":"speech","frame":[0.5,0.25],"coeffs":[)" + v + "]}");
+    bodies.push_back(R"({"app":"particle","observations":[)" + v + "]}");
+    bodies.push_back(R"({"app":"particle","observations":[0.5],"truth":[)" + v + "]}");
+  }
+  PlanServer server;
+  std::vector<obs::HttpRequest> requests = job_burst(bodies);
+  std::vector<obs::HttpResponse> responses;
+  server.handle_burst(requests, responses);
+  ASSERT_EQ(responses.size(), bodies.size());
+  for (std::size_t i = 0; i < bodies.size(); ++i)
+    EXPECT_EQ(responses[i].status, 400) << bodies[i] << " -> " << responses[i].body;
+  EXPECT_EQ(server.jobs_served(), 0);
+}
+
+TEST(ServeRequest, EdgeDoublesRoundTripBitForBit) {
+  const std::vector<double> edges = {-0.0,
+                                     0.0,
+                                     std::numeric_limits<double>::denorm_min(),
+                                     -std::numeric_limits<double>::denorm_min(),
+                                     DBL_MIN,
+                                     DBL_MAX,
+                                     -DBL_MAX,
+                                     0.1,
+                                     1.0 / 3.0,
+                                     -2.0 / 3.0,
+                                     1e21,
+                                     123456789.0};
+  std::string body = R"({"v":[)";
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    if (i != 0) body += ',';
+    append_double(body, edges[i]);
+  }
+  body += "]}";
+  EXPECT_TRUE(obs::detail::json_validate(body).empty()) << body;
+  const auto parsed = json_array_field(body, "v");
+  ASSERT_TRUE(parsed.has_value()) << body;
+  ASSERT_EQ(parsed->size(), edges.size()) << body;
+  for (std::size_t i = 0; i < edges.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>((*parsed)[i]), std::bit_cast<std::uint64_t>(edges[i]))
+        << "edge " << i << " in " << body;
+
+  // Shortest form: 0.1 is "0.1", not "0.10000000000000001".
+  std::string tenth;
+  append_double(tenth, 0.1);
+  EXPECT_EQ(tenth, "0.1");
+  for (const double v : {std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    std::string out;
+    append_double(out, v);
+    EXPECT_EQ(out, "null");
+  }
+}
+
+/// Whether the registry holds the exact (name, labels) series.
+bool has_series(const obs::MetricRegistry& registry, const std::string& name,
+                const obs::Labels& labels = {}) {
+  for (const auto& s : registry.collect())
+    if (s.name == name && s.labels == labels) return true;
+  return false;
+}
+
+TEST(PlanServer, JobSeriesAppearInMetricsOnFirstUse) {
+  // The /job path caches its instrument handles, resolving each on first
+  // use: a series appears when it is first counted, never earlier as a
+  // zero, and the cached handles keep counting the same series.
+  PlanServer server;
+  obs::MetricRegistry& m = server.metrics();
+  EXPECT_FALSE(has_series(m, "spi_serve_requests_total", {{"route", "job"}}));
+  EXPECT_FALSE(has_series(m, "spi_serve_burst_seconds"));
+
+  std::vector<obs::HttpRequest> first = job_burst({
+      R"({"app":"speech","tenant":"t0","frame_size":8,"order":2,"seed":1})",
+  });
+  std::vector<obs::HttpResponse> responses;
+  server.handle_burst(first, responses);
+  ASSERT_EQ(responses[0].status, 200) << responses[0].body;
+  EXPECT_TRUE(has_series(m, "spi_serve_requests_total", {{"route", "job"}}));
+  EXPECT_TRUE(has_series(m, "spi_serve_burst_seconds"));
+  EXPECT_TRUE(has_series(m, "spi_serve_batches_total", {{"app", "speech"}}));
+  EXPECT_TRUE(has_series(m, "spi_serve_batch_jobs", {{"app", "speech"}}));
+  EXPECT_TRUE(has_series(m, "spi_serve_jobs_total", {{"app", "speech"}, {"tenant", "t0"}}));
+  EXPECT_FALSE(has_series(m, "spi_serve_batches_total", {{"app", "particle"}}));
+  EXPECT_FALSE(has_series(m, "spi_serve_batch_jobs", {{"app", "particle"}}));
+  EXPECT_FALSE(has_series(m, "spi_serve_jobs_total", {{"app", "particle"}, {"tenant", "t0"}}));
+  EXPECT_FALSE(has_series(m, "spi_serve_rejects_total", {{"reason", "queue-depth"}}));
+
+  std::vector<obs::HttpRequest> second = job_burst({
+      R"({"app":"speech","tenant":"t1","frame_size":8,"order":2,"seed":2})",
+      R"({"app":"particle","tenant":"t0","steps":4,"seed":3})",
+      R"({"app":"speech","tenant":"t0","frame_size":8,"order":2,"seed":4})",
+  });
+  server.handle_burst(second, responses);
+  for (const obs::HttpResponse& r : responses) ASSERT_EQ(r.status, 200) << r.body;
+  EXPECT_EQ(m.counter_value("spi_serve_requests_total", {{"route", "job"}}), 4);
+  EXPECT_EQ(m.counter_value("spi_serve_batches_total", {{"app", "speech"}}), 2);
+  EXPECT_EQ(m.counter_value("spi_serve_batches_total", {{"app", "particle"}}), 1);
+  EXPECT_EQ(m.counter_value("spi_serve_jobs_total", {{"app", "speech"}, {"tenant", "t0"}}), 2);
+  EXPECT_EQ(m.counter_value("spi_serve_jobs_total", {{"app", "speech"}, {"tenant", "t1"}}), 1);
+  EXPECT_EQ(m.counter_value("spi_serve_jobs_total", {{"app", "particle"}, {"tenant", "t0"}}), 1);
+  EXPECT_FALSE(has_series(m, "spi_serve_jobs_total", {{"app", "particle"}, {"tenant", "t1"}}));
+  EXPECT_EQ(m.histogram("spi_serve_burst_seconds", {}).count(), 2);
+  EXPECT_EQ(m.histogram("spi_serve_batch_jobs", {}, {{"app", "speech"}}).count(), 2);
 }
 
 TEST(PlanServer, PlanPostCachesByContentAndBudgetsMemory) {
