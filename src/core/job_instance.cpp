@@ -8,8 +8,8 @@
 #include <stdexcept>
 
 #include "core/worker_pool.hpp"
+#include "obs/json.hpp"
 #include "obs/obs_server.hpp"
-#include "obs/text_escape.hpp"
 
 namespace spi::core {
 
@@ -798,8 +798,8 @@ void JobInstance::refresh_channel_gauges() {
 }
 
 std::string JobInstance::runtime_status_json() const {
-  std::string out = "{\"graph\":\"" + obs::detail::json_escaped(plan_.graph_name) + "\"";
-  if (!label_.empty()) out += ",\"job\":\"" + obs::detail::json_escaped(label_) + "\"";
+  std::string out = "{\"graph\":\"" + obs::json::escaped(plan_.graph_name) + "\"";
+  if (!label_.empty()) out += ",\"job\":\"" + obs::json::escaped(label_) + "\"";
   out += ",\"running\":" + std::string(running_.load(std::memory_order_relaxed) ? "true"
                                                                                 : "false");
   out += ",\"proc_count\":" + std::to_string(worker_count_);
@@ -836,7 +836,7 @@ std::string JobInstance::runtime_status_json() const {
     out += ",\"completed\":" + std::to_string(w.completed);
     out += ",\"step\":" + std::to_string(w.step);
     out += ",\"actor\":" + std::to_string(w.actor);
-    out += ",\"actor_name\":\"" + obs::detail::json_escaped(actor_display_name(w.actor));
+    out += ",\"actor_name\":\"" + obs::json::escaped(actor_display_name(w.actor));
     out += "\",\"waiting_edge\":" + std::to_string(w.waiting_edge);
     out += ",\"waiting_side\":" + std::to_string(w.waiting_side);
     out += std::string(",\"done\":") + (w.done ? "true" : "false") + "}";
@@ -867,7 +867,7 @@ std::string JobInstance::runtime_status_json() const {
     }
     if (c) out += ",";
     out += "{\"edge\":" + std::to_string(spec.edge);
-    out += ",\"name\":\"" + obs::detail::json_escaped(spec.name);
+    out += ",\"name\":\"" + obs::json::escaped(spec.name);
     out += "\",\"kind\":\"" + std::string(kind);
     out += "\",\"depth_tokens\":" + std::to_string(depth);
     out += ",\"high_watermark_tokens\":" + std::to_string(watermark);

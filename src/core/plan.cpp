@@ -1,27 +1,23 @@
 #include "core/plan.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
+
+#include "obs/json.hpp"
 
 namespace spi::core {
 
 namespace {
 
-// --- JSON emission --------------------------------------------------------
+namespace json = obs::json;
 
-std::string escape(const std::string& s) {
-  std::string r;
-  for (char c : s) {
-    if (c == '"' || c == '\\') r.push_back('\\');
-    r.push_back(c);
-  }
-  return r;
-}
+// --- JSON emission --------------------------------------------------------
 
 /// Doubles print exactly (round-trip through strtod) and deterministically:
 /// integral values as "N.0", everything else with max_digits10 precision.
@@ -64,217 +60,15 @@ void write_int_array(std::ostringstream& out, const std::vector<T>& values) {
   out << "]";
 }
 
-// --- JSON parsing ---------------------------------------------------------
-//
-// A minimal recursive-descent parser for the subset to_json() emits
-// (objects, arrays, strings, numbers, booleans, null). Kept private to
-// this translation unit — the repo deliberately has no external JSON
-// dependency (tools/json_check.cpp is the same-idiom validator).
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kInt, kDouble, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  std::int64_t integer = 0;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  [[nodiscard]] const JsonValue* find(const char* key) const {
-    for (const auto& [k, v] : object)
-      if (k == key) return &v;
-    return nullptr;
-  }
-  [[nodiscard]] const JsonValue& at(const char* key) const {
-    const JsonValue* v = find(key);
-    if (!v) throw std::invalid_argument(std::string("ExecutablePlan: missing key '") + key + "'");
-    return *v;
-  }
-  [[nodiscard]] std::int64_t as_int(const char* what) const {
-    if (kind != Kind::kInt)
-      throw std::invalid_argument(std::string("ExecutablePlan: '") + what + "' is not an integer");
-    return integer;
-  }
-  [[nodiscard]] double as_double(const char* what) const {
-    if (kind == Kind::kInt) return static_cast<double>(integer);
-    if (kind != Kind::kDouble)
-      throw std::invalid_argument(std::string("ExecutablePlan: '") + what + "' is not a number");
-    return number;
-  }
-  [[nodiscard]] const std::string& as_string(const char* what) const {
-    if (kind != Kind::kString)
-      throw std::invalid_argument(std::string("ExecutablePlan: '") + what + "' is not a string");
-    return string;
-  }
-  [[nodiscard]] bool as_bool(const char* what) const {
-    if (kind != Kind::kBool)
-      throw std::invalid_argument(std::string("ExecutablePlan: '") + what + "' is not a boolean");
-    return boolean;
-  }
-  [[nodiscard]] const std::vector<JsonValue>& as_array(const char* what) const {
-    if (kind != Kind::kArray)
-      throw std::invalid_argument(std::string("ExecutablePlan: '") + what + "' is not an array");
-    return array;
-  }
-
-  [[nodiscard]] std::vector<std::int64_t> as_int_vector(const char* what) const {
-    std::vector<std::int64_t> values;
-    values.reserve(as_array(what).size());
-    for (const JsonValue& v : array) values.push_back(v.as_int(what));
-    return values;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content after JSON document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw std::invalid_argument("ExecutablePlan: JSON parse error at byte " +
-                                std::to_string(pos_) + ": " + why);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool consume_word(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'r': out.push_back('\r'); break;
-          default: fail(std::string("unsupported escape '\\") + e + "'");
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    fail("unterminated string");
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    bool fractional = false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c >= '0' && c <= '9') {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        fractional = true;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    const std::string token(text_.substr(start, pos_ - start));
-    if (token.empty() || token == "-") fail("malformed number");
-    JsonValue v;
-    char* end = nullptr;
-    if (fractional) {
-      v.kind = JsonValue::Kind::kDouble;
-      v.number = std::strtod(token.c_str(), &end);
-    } else {
-      v.kind = JsonValue::Kind::kInt;
-      v.integer = std::strtoll(token.c_str(), &end, 10);
-    }
-    if (end != token.c_str() + token.size()) fail("malformed number '" + token + "'");
-    return v;
-  }
-
-  JsonValue value() {
-    const char c = peek();
-    JsonValue v;
-    if (c == '{') {
-      ++pos_;
-      v.kind = JsonValue::Kind::kObject;
-      if (!consume('}')) {
-        do {
-          std::string key = parse_string();
-          expect(':');
-          v.object.emplace_back(std::move(key), value());
-        } while (consume(','));
-        expect('}');
-      }
-    } else if (c == '[') {
-      ++pos_;
-      v.kind = JsonValue::Kind::kArray;
-      if (!consume(']')) {
-        do {
-          v.array.push_back(value());
-        } while (consume(','));
-        expect(']');
-      }
-    } else if (c == '"') {
-      v.kind = JsonValue::Kind::kString;
-      v.string = parse_string();
-    } else if (c == 't' && consume_word("true")) {
-      v.kind = JsonValue::Kind::kBool;
-      v.boolean = true;
-    } else if (c == 'f' && consume_word("false")) {
-      v.kind = JsonValue::Kind::kBool;
-      v.boolean = false;
-    } else if (c == 'n' && consume_word("null")) {
-      v.kind = JsonValue::Kind::kNull;
-    } else {
-      v = parse_number();
-    }
-    return v;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
+/// A fingerprint: a uint64 written as a decimal string.
+std::uint64_t fingerprint(const json::Value& v) {
+  const std::string& text = v.as_string();
+  std::uint64_t value = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size())
+    json::fail_at(v.offset, "fingerprint is not a uint64 decimal");
+  return value;
+}
 
 }  // namespace
 
@@ -460,7 +254,7 @@ void ExecutablePlan::publish_metrics(obs::MetricRegistry& registry) const {
 std::string ExecutablePlan::to_json() const {
   std::ostringstream out;
   out << "{\n  \"schema\": " << kSchemaVersion << ",\n";
-  out << "  \"graph\": \"" << escape(graph_name) << "\",\n";
+  out << "  \"graph\": \"" << json::escaped(graph_name) << "\",\n";
   out << "  \"processors\": " << proc_count << ",\n";
   out << "  \"messages_per_iteration\": " << messages_per_iteration << ",\n";
   if (resync) {
@@ -488,12 +282,12 @@ std::string ExecutablePlan::to_json() const {
   out << ",\n  \"assignment\": ";
   write_int_array(out, proc_of_actor);
 
-  out << ",\n  \"vts\": {\n    \"name\": \"" << escape(vts.graph.name()) << "\",\n";
+  out << ",\n  \"vts\": {\n    \"name\": \"" << json::escaped(vts.graph.name()) << "\",\n";
   out << "    \"actors\": [";
   for (std::size_t a = 0; a < vts.graph.actor_count(); ++a) {
     const df::Actor& actor = vts.graph.actor(static_cast<df::ActorId>(a));
     if (a) out << ",";
-    out << "\n      {\"name\": \"" << escape(actor.name)
+    out << "\n      {\"name\": \"" << json::escaped(actor.name)
         << "\", \"exec_cycles\": " << actor.exec_cycles << "}";
   }
   out << (vts.graph.actor_count() ? "\n    ],\n" : "],\n");
@@ -505,7 +299,7 @@ std::string ExecutablePlan::to_json() const {
     out << "\n      {\"src\": " << edge.src << ", \"snk\": " << edge.snk
         << ", \"prod\": " << edge.prod.value() << ", \"cons\": " << edge.cons.value()
         << ", \"delay\": " << edge.delay << ", \"token_bytes\": " << edge.token_bytes
-        << ", \"name\": \"" << escape(edge.name) << "\", \"converted\": "
+        << ", \"name\": \"" << json::escaped(edge.name) << "\", \"converted\": "
         << (info.converted ? "true" : "false") << ", \"b_max_bytes\": " << info.b_max_bytes
         << ", \"raw_token_bytes\": " << info.raw_token_bytes
         << ", \"prod_rate_bound\": " << info.prod_rate_bound
@@ -525,7 +319,7 @@ std::string ExecutablePlan::to_json() const {
     const sched::TaskNode& task = sync_graph.task(static_cast<std::int32_t>(t));
     if (t) out << ",";
     out << "\n      {\"actor\": " << task.actor << ", \"firing\": " << task.firing
-        << ", \"exec_cycles\": " << task.exec_cycles << ", \"name\": \"" << escape(task.name)
+        << ", \"exec_cycles\": " << task.exec_cycles << ", \"name\": \"" << json::escaped(task.name)
         << "\", \"proc\": " << sync_graph.proc_of(static_cast<std::int32_t>(t)) << "}";
   }
   out << (sync_graph.task_count() ? "\n    ],\n" : "],\n");
@@ -568,7 +362,7 @@ std::string ExecutablePlan::to_json() const {
   for (std::size_t i = 0; i < channels.size(); ++i) {
     const ChannelSpec& plan = channels[i];
     if (i) out << ",";
-    out << "\n    {\"edge\": " << plan.edge << ", \"name\": \"" << escape(plan.name)
+    out << "\n    {\"edge\": " << plan.edge << ", \"name\": \"" << json::escaped(plan.name)
         << "\", \"mode\": \"" << (plan.mode == SpiMode::kDynamic ? "SPI_dynamic" : "SPI_static")
         << "\", \"protocol\": \""
         << (plan.protocol == sched::SyncProtocol::kBbs ? "BBS" : "UBS")
@@ -591,162 +385,145 @@ std::string ExecutablePlan::to_json() const {
 }
 
 ExecutablePlan ExecutablePlan::from_json(std::string_view text) {
-  const JsonValue root = JsonParser(text).parse();
-  if (root.kind != JsonValue::Kind::kObject)
-    throw std::invalid_argument("ExecutablePlan: top-level JSON value is not an object");
-  const std::int64_t schema = root.at("schema").as_int("schema");
+  const json::Value root = json::parse(text);
+  const std::int64_t schema = root.at("schema").as_int<std::int64_t>();
   if (schema != kSchemaVersion)
     throw std::invalid_argument("ExecutablePlan: unsupported schema version " +
                                 std::to_string(schema) + " (expected " +
                                 std::to_string(kSchemaVersion) + ")");
 
   ExecutablePlan plan;
-  plan.graph_name = root.at("graph").as_string("graph");
-  plan.proc_count = static_cast<std::int32_t>(root.at("processors").as_int("processors"));
-  plan.messages_per_iteration =
-      static_cast<std::size_t>(root.at("messages_per_iteration").as_int("messages_per_iteration"));
+  plan.graph_name = root.at("graph").as_string();
+  plan.proc_count = root.at("processors").as_int<std::int32_t>();
+  plan.messages_per_iteration = root.at("messages_per_iteration").as_int<std::size_t>();
 
-  if (const JsonValue* r = root.find("resynchronization")) {
+  if (const json::Value* r = root.find("resynchronization")) {
     sched::ResyncReport report;
-    report.acks_before = static_cast<std::size_t>(r->at("acks_before").as_int("acks_before"));
-    report.acks_after = static_cast<std::size_t>(r->at("acks_after").as_int("acks_after"));
-    report.edges_added = static_cast<std::size_t>(r->at("edges_added").as_int("edges_added"));
-    report.edges_removed =
-        static_cast<std::size_t>(r->at("edges_removed").as_int("edges_removed"));
-    report.mcm_before = r->at("mcm_before").as_double("mcm_before");
-    report.mcm_after = r->at("mcm_after").as_double("mcm_after");
-    if (const JsonValue* cycle = r->find("critical_cycle"))
-      for (std::int64_t t : cycle->as_int_vector("critical_cycle"))
-        report.critical_cycle.push_back(static_cast<std::int32_t>(t));
+    report.acks_before = r->at("acks_before").as_int<std::size_t>();
+    report.acks_after = r->at("acks_after").as_int<std::size_t>();
+    report.edges_added = r->at("edges_added").as_int<std::size_t>();
+    report.edges_removed = r->at("edges_removed").as_int<std::size_t>();
+    report.mcm_before = r->at("mcm_before").as_double();
+    report.mcm_after = r->at("mcm_after").as_double();
+    if (const json::Value* cycle = r->find("critical_cycle"))
+      report.critical_cycle = cycle->as_int_vector<std::int32_t>();
     plan.resync = report;
   }
 
-  if (const JsonValue* fp = root.find("fingerprints")) {
-    plan.fingerprints.topology =
-        std::stoull(fp->at("topology").as_string("fingerprints.topology"));
-    plan.fingerprints.exec = std::stoull(fp->at("exec").as_string("fingerprints.exec"));
+  if (const json::Value* fp = root.find("fingerprints")) {
+    plan.fingerprints.topology = fingerprint(fp->at("topology"));
+    plan.fingerprints.exec = fingerprint(fp->at("exec"));
   }
 
-  const JsonValue& costs = root.at("costs");
-  plan.costs.send_enqueue_cycles = costs.at("send_enqueue_cycles").as_int("send_enqueue_cycles");
-  plan.costs.offload_fixed_cycles =
-      costs.at("offload_fixed_cycles").as_int("offload_fixed_cycles");
-  plan.costs.ack_wire_bytes = costs.at("ack_wire_bytes").as_int("ack_wire_bytes");
+  const json::Value& costs = root.at("costs");
+  plan.costs.send_enqueue_cycles = costs.at("send_enqueue_cycles").as_int<std::int64_t>();
+  plan.costs.offload_fixed_cycles = costs.at("offload_fixed_cycles").as_int<std::int64_t>();
+  plan.costs.ack_wire_bytes = costs.at("ack_wire_bytes").as_int<std::int64_t>();
 
   plan.repetitions.consistent = true;
-  plan.repetitions.q = root.at("repetitions").as_int_vector("repetitions");
-  for (std::int64_t p : root.at("assignment").as_int_vector("assignment"))
-    plan.proc_of_actor.push_back(static_cast<sched::Proc>(p));
+  plan.repetitions.q = root.at("repetitions").as_int_vector<std::int64_t>();
+  plan.proc_of_actor = root.at("assignment").as_int_vector<sched::Proc>();
 
   // --- VTS-converted graph ------------------------------------------------
-  const JsonValue& vts = root.at("vts");
-  plan.vts.graph = df::Graph(vts.at("name").as_string("vts.name"));
-  for (const JsonValue& a : vts.at("actors").as_array("vts.actors"))
-    plan.vts.graph.add_actor(a.at("name").as_string("actor.name"),
-                             a.at("exec_cycles").as_int("actor.exec_cycles"));
-  for (const JsonValue& e : vts.at("edges").as_array("vts.edges")) {
-    plan.vts.graph.connect(static_cast<df::ActorId>(e.at("src").as_int("edge.src")),
-                           df::Rate::fixed(e.at("prod").as_int("edge.prod")),
-                           static_cast<df::ActorId>(e.at("snk").as_int("edge.snk")),
-                           df::Rate::fixed(e.at("cons").as_int("edge.cons")),
-                           e.at("delay").as_int("edge.delay"),
-                           e.at("token_bytes").as_int("edge.token_bytes"),
-                           e.at("name").as_string("edge.name"));
+  const json::Value& vts = root.at("vts");
+  plan.vts.graph = df::Graph(vts.at("name").as_string());
+  for (const json::Value& a : vts.at("actors").as_array())
+    plan.vts.graph.add_actor(a.at("name").as_string(), a.at("exec_cycles").as_int<std::int64_t>());
+  for (const json::Value& e : vts.at("edges").as_array()) {
+    const auto src = e.at("src").as_int<df::ActorId>();
+    const auto snk = e.at("snk").as_int<df::ActorId>();
+    if (src < 0 || snk < 0 || static_cast<std::size_t>(std::max(src, snk)) >= plan.vts.graph.actor_count())
+      json::fail_at(e.offset, "edge names an unknown actor");
+    plan.vts.graph.connect(src, df::Rate::fixed(e.at("prod").as_int<std::int64_t>()), snk,
+                           df::Rate::fixed(e.at("cons").as_int<std::int64_t>()),
+                           e.at("delay").as_int<std::int64_t>(),
+                           e.at("token_bytes").as_int<std::int64_t>(), e.at("name").as_string());
     df::VtsEdgeInfo info;
-    info.converted = e.at("converted").as_bool("edge.converted");
-    info.b_max_bytes = e.at("b_max_bytes").as_int("edge.b_max_bytes");
-    info.raw_token_bytes = e.at("raw_token_bytes").as_int("edge.raw_token_bytes");
-    info.prod_rate_bound = e.at("prod_rate_bound").as_int("edge.prod_rate_bound");
-    info.cons_rate_bound = e.at("cons_rate_bound").as_int("edge.cons_rate_bound");
+    info.converted = e.at("converted").as_bool();
+    info.b_max_bytes = e.at("b_max_bytes").as_int<std::int64_t>();
+    info.raw_token_bytes = e.at("raw_token_bytes").as_int<std::int64_t>();
+    info.prod_rate_bound = e.at("prod_rate_bound").as_int<std::int64_t>();
+    info.cons_rate_bound = e.at("cons_rate_bound").as_int<std::int64_t>();
     plan.vts.edges.push_back(info);
   }
 
-  const JsonValue& pass = root.at("pass");
+  const json::Value& pass = root.at("pass");
   plan.pass.admissible = true;
-  for (std::int64_t a : pass.at("firings").as_int_vector("pass.firings"))
-    plan.pass.firings.push_back(static_cast<df::ActorId>(a));
-  plan.pass.buffer_bound = pass.at("buffer_bound").as_int_vector("pass.buffer_bound");
+  plan.pass.firings = pass.at("firings").as_int_vector<df::ActorId>();
+  plan.pass.buffer_bound = pass.at("buffer_bound").as_int_vector<std::int64_t>();
 
   // --- synchronization graph ----------------------------------------------
-  const JsonValue& sync = root.at("sync_graph");
+  const json::Value& sync = root.at("sync_graph");
   std::vector<sched::TaskNode> tasks;
   std::vector<sched::Proc> proc_of_task;
-  for (const JsonValue& t : sync.at("tasks").as_array("sync_graph.tasks")) {
+  for (const json::Value& t : sync.at("tasks").as_array()) {
     sched::TaskNode task;
-    task.actor = static_cast<df::ActorId>(t.at("actor").as_int("task.actor"));
-    task.firing = static_cast<std::int32_t>(t.at("firing").as_int("task.firing"));
-    task.exec_cycles = t.at("exec_cycles").as_int("task.exec_cycles");
-    task.name = t.at("name").as_string("task.name");
+    task.actor = t.at("actor").as_int<df::ActorId>();
+    task.firing = t.at("firing").as_int<std::int32_t>();
+    task.exec_cycles = t.at("exec_cycles").as_int<std::int64_t>();
+    task.name = t.at("name").as_string();
     tasks.push_back(std::move(task));
-    proc_of_task.push_back(static_cast<sched::Proc>(t.at("proc").as_int("task.proc")));
+    proc_of_task.push_back(t.at("proc").as_int<sched::Proc>());
   }
-  plan.sync_graph =
-      sched::SyncGraph(std::move(tasks), std::move(proc_of_task),
-                       static_cast<std::int32_t>(sync.at("proc_count").as_int("proc_count")));
-  for (const JsonValue& e : sync.at("edges").as_array("sync_graph.edges")) {
+  plan.sync_graph = sched::SyncGraph(std::move(tasks), std::move(proc_of_task),
+                                     sync.at("proc_count").as_int<std::int32_t>());
+  for (const json::Value& e : sync.at("edges").as_array()) {
     sched::SyncEdge edge;
-    edge.src = static_cast<std::int32_t>(e.at("src").as_int("sync_edge.src"));
-    edge.snk = static_cast<std::int32_t>(e.at("snk").as_int("sync_edge.snk"));
-    edge.delay = e.at("delay").as_int("sync_edge.delay");
-    edge.kind = kind_from_name(e.at("kind").as_string("sync_edge.kind"));
-    edge.dataflow_edge =
-        static_cast<df::EdgeId>(e.at("dataflow_edge").as_int("sync_edge.dataflow_edge"));
-    edge.removed = e.at("removed").as_bool("sync_edge.removed");
+    edge.src = e.at("src").as_int<std::int32_t>();
+    edge.snk = e.at("snk").as_int<std::int32_t>();
+    if (edge.src < 0 || edge.snk < 0 ||
+        static_cast<std::size_t>(std::max(edge.src, edge.snk)) >= plan.sync_graph.task_count())
+      json::fail_at(e.offset, "sync edge names an unknown task");
+    edge.delay = e.at("delay").as_int<std::int64_t>();
+    edge.kind = kind_from_name(e.at("kind").as_string());
+    edge.dataflow_edge = e.at("dataflow_edge").as_int<df::EdgeId>();
+    edge.removed = e.at("removed").as_bool();
     plan.sync_graph.add_edge(edge);
   }
 
-  for (const JsonValue& p : root.at("proc_order").as_array("proc_order")) {
-    std::vector<std::int32_t> order;
-    for (std::int64_t t : p.as_int_vector("proc_order[p]"))
-      order.push_back(static_cast<std::int32_t>(t));
-    plan.proc_order.push_back(std::move(order));
-  }
+  for (const json::Value& p : root.at("proc_order").as_array())
+    plan.proc_order.push_back(p.as_int_vector<std::int32_t>());
 
-  for (const JsonValue& p : root.at("programs").as_array("programs")) {
+  for (const json::Value& p : root.at("programs").as_array()) {
     std::vector<FiringStep> program;
-    for (const JsonValue& s : p.as_array("programs[p]")) {
+    for (const json::Value& s : p.as_array()) {
       FiringStep step;
-      step.actor = static_cast<df::ActorId>(s.at("actor").as_int("step.actor"));
-      step.invocation = static_cast<std::int32_t>(s.at("invocation").as_int("step.invocation"));
-      for (std::int64_t e : s.at("in").as_int_vector("step.in"))
-        step.in_edges.push_back(static_cast<df::EdgeId>(e));
-      for (std::int64_t e : s.at("out").as_int_vector("step.out"))
-        step.out_edges.push_back(static_cast<df::EdgeId>(e));
+      step.actor = s.at("actor").as_int<df::ActorId>();
+      step.invocation = s.at("invocation").as_int<std::int32_t>();
+      step.in_edges = s.at("in").as_int_vector<df::EdgeId>();
+      step.out_edges = s.at("out").as_int_vector<df::EdgeId>();
       program.push_back(std::move(step));
     }
     plan.programs.push_back(std::move(program));
   }
 
-  for (const JsonValue& c : root.at("channels").as_array("channels")) {
+  for (const json::Value& c : root.at("channels").as_array()) {
     ChannelSpec spec;
-    spec.edge = static_cast<df::EdgeId>(c.at("edge").as_int("channel.edge"));
-    spec.name = c.at("name").as_string("channel.name");
-    const std::string& mode = c.at("mode").as_string("channel.mode");
+    spec.edge = c.at("edge").as_int<df::EdgeId>();
+    spec.name = c.at("name").as_string();
+    const std::string& mode = c.at("mode").as_string();
     if (mode != "SPI_static" && mode != "SPI_dynamic")
       throw std::invalid_argument("ExecutablePlan: unknown channel mode '" + mode + "'");
     spec.mode = mode == "SPI_dynamic" ? SpiMode::kDynamic : SpiMode::kStatic;
-    const std::string& protocol = c.at("protocol").as_string("channel.protocol");
+    const std::string& protocol = c.at("protocol").as_string();
     if (protocol != "BBS" && protocol != "UBS")
       throw std::invalid_argument("ExecutablePlan: unknown channel protocol '" + protocol + "'");
     spec.protocol = protocol == "BBS" ? sched::SyncProtocol::kBbs : sched::SyncProtocol::kUbs;
-    spec.b_max_bytes = c.at("b_max_bytes").as_int("channel.b_max_bytes");
-    spec.c_bytes = c.at("c_bytes").as_int("channel.c_bytes");
-    if (const JsonValue* tokens = c.find("capacity_messages")) {
-      spec.bbs_capacity_tokens = tokens->as_int("channel.capacity_messages");
-      spec.bbs_capacity_bytes = c.at("capacity_bytes").as_int("channel.capacity_bytes");
+    spec.b_max_bytes = c.at("b_max_bytes").as_int<std::int64_t>();
+    spec.c_bytes = c.at("c_bytes").as_int<std::int64_t>();
+    if (const json::Value* tokens = c.find("capacity_messages")) {
+      spec.bbs_capacity_tokens = tokens->as_int<std::int64_t>();
+      spec.bbs_capacity_bytes = c.at("capacity_bytes").as_int<std::int64_t>();
     }
-    spec.acks_total = static_cast<std::size_t>(c.at("acks_total").as_int("channel.acks_total"));
-    spec.acks_elided =
-        static_cast<std::size_t>(c.at("acks_elided").as_int("channel.acks_elided"));
-    for (std::int64_t s : c.at("sync_edges").as_int_vector("channel.sync_edges"))
-      spec.sync_edges.push_back(static_cast<std::size_t>(s));
-    spec.token_bytes = c.at("token_bytes").as_int("channel.token_bytes");
-    spec.raw_token_bytes = c.at("raw_token_bytes").as_int("channel.raw_token_bytes");
-    spec.prod_tokens = c.at("prod_tokens").as_int("channel.prod_tokens");
-    spec.delay_tokens = c.at("delay_tokens").as_int("channel.delay_tokens");
-    spec.src_firings_per_iteration =
-        c.at("src_firings_per_iteration").as_int("channel.src_firings_per_iteration");
-    spec.reliable = c.at("reliable").as_bool("channel.reliable");
+    spec.acks_total = c.at("acks_total").as_int<std::size_t>();
+    spec.acks_elided = c.at("acks_elided").as_int<std::size_t>();
+    spec.sync_edges = c.at("sync_edges").as_int_vector<std::size_t>();
+    spec.token_bytes = c.at("token_bytes").as_int<std::int64_t>();
+    spec.raw_token_bytes = c.at("raw_token_bytes").as_int<std::int64_t>();
+    spec.prod_tokens = c.at("prod_tokens").as_int<std::int64_t>();
+    spec.delay_tokens = c.at("delay_tokens").as_int<std::int64_t>();
+    spec.src_firings_per_iteration = c.at("src_firings_per_iteration").as_int<std::int64_t>();
+    spec.reliable = c.at("reliable").as_bool();
     plan.channels.push_back(std::move(spec));
   }
 

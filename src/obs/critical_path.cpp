@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <tuple>
 
-#include "obs/text_escape.hpp"
+#include "obs/json.hpp"
 
 namespace spi::obs {
 
@@ -464,7 +464,7 @@ CriticalPathReport analyze_critical_path(const FlightLog& log, const AnalyzeOpti
 std::string CriticalPathReport::to_json() const {
   std::string out;
   out += "{\"schema\":1,\"time_unit\":\"";
-  detail::append_json_escaped(out, time_unit);
+  json::append_escaped(out, time_unit);
   out += "\",\"proc_count\":" + std::to_string(proc_count);
   out += ",\"events\":" + std::to_string(events);
   out += ",\"dropped\":" + std::to_string(dropped);
@@ -487,13 +487,13 @@ std::string CriticalPathReport::to_json() const {
   append_double(out, period_ratio);
   out += ",\"bottleneck_edge\":" + std::to_string(bottleneck_edge);
   out += ",\"bottleneck_channel\":\"";
-  detail::append_json_escaped(out, bottleneck_channel);
+  json::append_escaped(out, bottleneck_channel);
   out += "\",\n\"channels\":[";
   for (std::size_t i = 0; i < channels.size(); ++i) {
     const ChannelAttribution& c = channels[i];
     if (i) out += ",";
     out += "\n{\"edge\":" + std::to_string(c.edge) + ",\"name\":\"";
-    detail::append_json_escaped(out, c.name);
+    json::append_escaped(out, c.name);
     out += "\",\"producer_blocked\":" + std::to_string(c.producer_blocked);
     out += ",\"consumer_blocked\":" + std::to_string(c.consumer_blocked);
     out += ",\"cp_blocked\":" + std::to_string(c.cp_blocked);
@@ -505,7 +505,7 @@ std::string CriticalPathReport::to_json() const {
     const ActorAttribution& a = actors[i];
     if (i) out += ",";
     out += "\n{\"actor\":" + std::to_string(a.actor) + ",\"name\":\"";
-    detail::append_json_escaped(out, a.name);
+    json::append_escaped(out, a.name);
     out += "\",\"compute\":" + std::to_string(a.compute);
     out += ",\"cp_compute\":" + std::to_string(a.cp_compute);
     out += ",\"firings\":" + std::to_string(a.firings) + "}";
@@ -573,7 +573,7 @@ std::string CriticalPathReport::to_chrome_trace_json(const FlightLog& log) const
     }
     std::string& o = item();
     o += "{\"name\":\"";
-    detail::append_json_escaped(o, name);
+    json::append_escaped(o, name);
     o += "\",\"cat\":\"";
     o += cat;
     o += "\",\"ph\":\"X\",\"ts\":";

@@ -1,11 +1,10 @@
 #include "obs/flight_recorder.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/text_escape.hpp"
+#include "obs/json.hpp"
 
 namespace spi::obs {
 
@@ -16,84 +15,6 @@ std::size_t round_up_pow2(std::size_t n) {
   while (p < n) p <<= 1;
   return p;
 }
-
-void append_escaped(std::ostringstream& out, const std::string& s) {
-  out << detail::json_escaped(s);
-}
-
-/// Minimal strict parser for the flight-log dump format: a cursor over
-/// the text with typed extractors that throw std::invalid_argument
-/// naming the offending position. Not a general JSON library — exactly
-/// the subset to_json() emits (objects, arrays, strings, integers).
-class Cursor {
- public:
-  explicit Cursor(std::string_view text) : text_(text) {}
-
-  void skip_ws() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-  }
-
-  [[nodiscard]] bool accept(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char c) {
-    if (!accept(c)) fail(std::string("expected '") + c + "'");
-  }
-
-  [[nodiscard]] std::string string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("dangling escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-            const int code = std::stoi(std::string(text_.substr(pos_, 4)), nullptr, 16);
-            pos_ += 4;
-            out += static_cast<char>(code);  // dump format only escapes < 0x20
-            break;
-          }
-          default: out += e;
-        }
-      } else {
-        out += c;
-      }
-    }
-    if (pos_ >= text_.size()) fail("unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  [[nodiscard]] std::int64_t integer() {
-    skip_ws();
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    if (pos_ == start) fail("expected integer");
-    return std::stoll(std::string(text_.substr(start, pos_ - start)));
-  }
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("FlightLog::from_json: " + what + " at offset " +
-                                std::to_string(pos_));
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -191,22 +112,17 @@ void FlightRecorder::publish_metrics(MetricRegistry& registry) const {
 
 std::string FlightLog::to_json() const {
   std::ostringstream out;
-  out << "{\"schema\":" << kSchemaVersion << ",\"time_unit\":\"";
-  append_escaped(out, time_unit);
-  out << "\",\"proc_count\":" << proc_count << ",\"dropped\":" << dropped
+  out << "{\"schema\":" << kSchemaVersion << ",\"time_unit\":\"" << json::escaped(time_unit)
+      << "\",\"proc_count\":" << proc_count << ",\"dropped\":" << dropped
       << ",\n\"actor_names\":[";
   for (std::size_t i = 0; i < actor_names.size(); ++i) {
     if (i) out << ",";
-    out << "\"";
-    append_escaped(out, actor_names[i]);
-    out << "\"";
+    out << "\"" << json::escaped(actor_names[i]) << "\"";
   }
   out << "],\n\"edge_names\":[";
   for (std::size_t i = 0; i < edge_names.size(); ++i) {
     if (i) out << ",";
-    out << "\"";
-    append_escaped(out, edge_names[i]);
-    out << "\"";
+    out << "\"" << json::escaped(edge_names[i]) << "\"";
   }
   out << "],\n\"events\":[";
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -221,79 +137,65 @@ std::string FlightLog::to_json() const {
 }
 
 FlightLog FlightLog::from_json(std::string_view text) {
-  Cursor c(text);
+  // Streams through the reader: a 64 Ki-event-per-proc dump never
+  // becomes a DOM.
+  json::Reader r(text);
   FlightLog log;
-  c.expect('{');
-  bool first = true;
-  while (!c.accept('}')) {
-    if (!first) c.expect(',');
-    first = false;
-    const std::string key = c.string();
-    c.expect(':');
+  std::string key;
+  std::string field;
+  r.begin_object();
+  while (r.next_member(key)) {
     if (key == "schema") {
-      const std::int64_t schema = c.integer();
+      const std::int64_t schema = r.integer<std::int64_t>();
       if (schema != kSchemaVersion)
         throw std::invalid_argument("FlightLog::from_json: unsupported schema version " +
                                     std::to_string(schema));
     } else if (key == "time_unit") {
-      log.time_unit = c.string();
+      r.string(log.time_unit);
     } else if (key == "proc_count") {
-      log.proc_count = static_cast<std::int32_t>(c.integer());
+      log.proc_count = r.integer<std::int32_t>();
     } else if (key == "dropped") {
-      log.dropped = c.integer();
+      log.dropped = r.integer<std::int64_t>();
     } else if (key == "actor_names" || key == "edge_names") {
       std::vector<std::string>& names = key[0] == 'a' ? log.actor_names : log.edge_names;
-      c.expect('[');
-      if (!c.accept(']')) {
-        do {
-          names.push_back(c.string());
-        } while (c.accept(','));
-        c.expect(']');
-      }
+      r.begin_array();
+      while (r.next_element()) names.push_back(r.string());
     } else if (key == "events") {
-      c.expect('[');
-      if (!c.accept(']')) {
-        do {
-          c.expect('{');
-          FlightEvent e;
-          bool efirst = true;
-          while (!c.accept('}')) {
-            if (!efirst) c.expect(',');
-            efirst = false;
-            const std::string field = c.string();
-            c.expect(':');
-            const std::int64_t v = c.integer();
-            if (field == "k") {
-              if (v < 0 || v > static_cast<std::int64_t>(FlightEventKind::kBatchEnd))
-                throw std::invalid_argument("FlightLog::from_json: unknown event kind " +
-                                            std::to_string(v));
-              e.kind = static_cast<FlightEventKind>(v);
-            } else if (field == "t") {
-              e.t = v;
-            } else if (field == "p") {
-              e.proc = static_cast<std::int32_t>(v);
-            } else if (field == "a") {
-              e.actor = static_cast<std::int32_t>(v);
-            } else if (field == "e") {
-              e.edge = static_cast<std::int32_t>(v);
-            } else if (field == "s") {
-              e.seq = v;
-            } else if (field == "i") {
-              e.iteration = v;
-            } else if (field == "x") {
-              e.aux = static_cast<std::int32_t>(v);
-            } else {
-              c.fail("unknown event field '" + field + "'");
-            }
+      r.begin_array();
+      while (r.next_element()) {
+        FlightEvent e;
+        r.begin_object();
+        while (r.next_member(field)) {
+          if (field == "k") {
+            const auto k = r.integer<std::int32_t>();
+            if (k < 0 || k > static_cast<std::int32_t>(FlightEventKind::kBatchEnd))
+              r.fail("unknown event kind " + std::to_string(k));
+            e.kind = static_cast<FlightEventKind>(k);
+          } else if (field == "t") {
+            e.t = r.integer<std::int64_t>();
+          } else if (field == "p") {
+            e.proc = r.integer<std::int32_t>();
+          } else if (field == "a") {
+            e.actor = r.integer<std::int32_t>();
+          } else if (field == "e") {
+            e.edge = r.integer<std::int32_t>();
+          } else if (field == "s") {
+            e.seq = r.integer<std::int64_t>();
+          } else if (field == "i") {
+            e.iteration = r.integer<std::int64_t>();
+          } else if (field == "x") {
+            e.aux = r.integer<std::int32_t>();
+          } else {
+            r.fail("unknown event field '" + field + "'");
           }
-          log.events.push_back(e);
-        } while (c.accept(','));
-        c.expect(']');
+        }
+        log.events.push_back(e);
       }
     } else {
-      c.fail("unknown key '" + key + "'");
+      r.fail("unknown key '" + key + "'");
     }
   }
+  r.finish();
   if (log.proc_count <= 0)
     throw std::invalid_argument("FlightLog::from_json: missing or non-positive proc_count");
   for (const FlightEvent& e : log.events)

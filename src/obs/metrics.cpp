@@ -6,7 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/text_escape.hpp"
+#include "obs/json.hpp"
 
 namespace spi::obs {
 
@@ -18,23 +18,13 @@ void add_atomic_double(std::atomic<double>& target, double d) {
   }
 }
 
-void append_json_escaped(std::ostringstream& out, const std::string& s) {
-  // Full RFC 8259 escaping (text_escape.hpp): a raw newline or control
-  // character in a label would make the whole export unparseable.
-  out << detail::json_escaped(s);
-}
-
 void append_json_labels(std::ostringstream& out, const Labels& labels) {
   out << "{";
   bool first = true;
   for (const auto& [k, v] : labels) {
     if (!first) out << ",";
     first = false;
-    out << "\"";
-    append_json_escaped(out, k);
-    out << "\":\"";
-    append_json_escaped(out, v);
-    out << "\"";
+    out << "\"" << json::escaped(k) << "\":\"" << json::escaped(v) << "\"";
   }
   out << "}";
 }
@@ -292,9 +282,7 @@ std::string MetricRegistry::to_json() const {
   const std::vector<SeriesSnapshot> snapshot = collect();
   std::ostringstream out;
   auto emit_header = [&](const SeriesSnapshot& s) {
-    out << "\n    {\"name\":\"";
-    append_json_escaped(out, s.name);
-    out << "\",\"labels\":";
+    out << "\n    {\"name\":\"" << json::escaped(s.name) << "\",\"labels\":";
     append_json_labels(out, s.labels);
   };
 

@@ -1,6 +1,6 @@
 #include "obs/obs_server.hpp"
 
-#include "obs/text_escape.hpp"
+#include "obs/json.hpp"
 
 namespace spi::obs {
 
@@ -69,7 +69,7 @@ HttpResponse ObsServer::handle(const std::string& method, const std::string& tar
     return {200, "application/json", options_.runtime_json() + "\n"};
   }
   return {404, "application/json",
-          "{\"error\": \"unknown endpoint '" + detail::json_escaped(path) + "'\"}\n"};
+          "{\"error\": \"unknown endpoint '" + json::escaped(path) + "'\"}\n"};
 }
 
 }  // namespace spi::obs

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "obs/text_escape.hpp"
+#include "obs/json.hpp"
 
 namespace spi::obs {
 
@@ -16,9 +16,9 @@ void append_span_json(std::string& out, const StoredRequestSpan& stored) {
   const RequestSpan& s = stored.span;
   out += "{\"id\": " + std::to_string(s.id);
   out += ", \"tenant\": \"";
-  detail::append_json_escaped(out, stored.tenant);
+  json::append_escaped(out, stored.tenant);
   out += "\", \"app\": \"";
-  detail::append_json_escaped(out, stored.app);
+  json::append_escaped(out, stored.app);
   out += "\", \"status\": " + std::to_string(s.status);
   out += ", \"batch\": " + std::to_string(s.batch_id);
   out += ", \"batch_size\": " + std::to_string(s.batch_size);
@@ -257,7 +257,7 @@ void RequestTracer::append_rollup_json(std::string& out, const TenantSeries& ser
   out += "\"requests\": " + std::to_string(requests);
   out += ", \"rejects\": " + std::to_string(series.rejects->value());
   out += ", \"series\": \"";
-  detail::append_json_escaped(out, series.name);
+  json::append_escaped(out, series.name);
   out += "\", \"e2e\": {\"ns_total\": " + std::to_string(series.e2e_ns->value());
   out += ", \"us_mean\": ";
   append_us(out, static_cast<double>(series.e2e_ns->value()) / n / 1e3);

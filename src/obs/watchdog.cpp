@@ -4,8 +4,8 @@
 #include <chrono>
 #include <map>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/text_escape.hpp"
 
 namespace spi::obs {
 
@@ -39,15 +39,15 @@ std::string StallReport::to_json() const {
   std::string out = "{\"classification\":\"";
   out += to_string(kind);
   out += "\",\"edge\":" + std::to_string(edge);
-  out += ",\"channel\":\"" + detail::json_escaped(channel);
+  out += ",\"channel\":\"" + json::escaped(channel);
   out += "\",\"actor\":" + std::to_string(actor);
-  out += ",\"actor_name\":\"" + detail::json_escaped(actor_name);
+  out += ",\"actor_name\":\"" + json::escaped(actor_name);
   out += "\",\"window_ms\":" + std::to_string(window_ms);
   out += ",\"stalled_ms\":" + std::to_string(stalled_ms);
   out += ",\"iteration_min\":" + std::to_string(iteration_min);
   out += ",\"iteration_max\":" + std::to_string(iteration_max);
   out += ",\"inflight_iterations\":" + std::to_string(inflight_iterations);
-  out += ",\"message\":\"" + detail::json_escaped(message);
+  out += ",\"message\":\"" + json::escaped(message);
   out += "\",\"workers\":[";
   for (std::size_t i = 0; i < workers.size(); ++i) {
     if (i) out += ",";
@@ -59,7 +59,7 @@ std::string StallReport::to_json() const {
 
 std::string HealthStatus::to_json() const {
   std::string out = std::string("{\"ok\":") + (ok ? "true" : "false");
-  out += ",\"verdict\":\"" + detail::json_escaped(verdict);
+  out += ",\"verdict\":\"" + json::escaped(verdict);
   out += "\",\"last_progress_ms\":" + std::to_string(last_progress_ms);
   out += ",\"window_ms\":" + std::to_string(window_ms) + "}";
   return out;

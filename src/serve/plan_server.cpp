@@ -8,7 +8,7 @@
 
 #include "core/job_instance.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/text_escape.hpp"
+#include "obs/json.hpp"
 #include "serve/request.hpp"
 #include "serve/served_model.hpp"
 
@@ -29,7 +29,7 @@ obs::HttpResponse reject_response(const std::string& reason) {
 }
 
 obs::HttpResponse bad_request(const std::string& what) {
-  return json_response(400, "{\"error\": \"" + obs::detail::json_escaped(what) + "\"}\n");
+  return json_response(400, "{\"error\": \"" + obs::json::escaped(what) + "\"}\n");
 }
 
 std::string_view path_of(const obs::HttpRequest& request) {
@@ -328,7 +328,7 @@ void PlanServer::drain_burst(std::vector<obs::HttpResponse>& responses) {
     } catch (const std::exception& e) {
       status = 500;
       bodies.assign(jobs.size(),
-                    "{\"error\": \"" + obs::detail::json_escaped(e.what()) + "\"}\n");
+                    "{\"error\": \"" + obs::json::escaped(e.what()) + "\"}\n");
     }
     const std::int64_t exec_end_ns = traced ? tracer_->now_ns() : 0;
     for (std::size_t k = 0; k < jobs.size(); ++k)
@@ -448,7 +448,7 @@ std::string PlanServer::runtime_json() const {
   for (const auto& [tenant, state] : tenants_) {
     if (!first) out += ", ";
     first = false;
-    out += "{\"tenant\": \"" + obs::detail::json_escaped(tenant) +
+    out += "{\"tenant\": \"" + obs::json::escaped(tenant) +
            "\", \"depth_watermark\": " + std::to_string(state.queue.depth_watermark()) +
            ", \"jobs_served\": " + std::to_string(state.queue.jobs_served()) + "}";
   }
@@ -466,7 +466,7 @@ std::string PlanServer::tenants_json() const {
   for (const auto& [tenant, state] : tenants_) {
     if (!first) out += ",\n";
     first = false;
-    out += "  {\"tenant\": \"" + obs::detail::json_escaped(tenant) + "\"";
+    out += "  {\"tenant\": \"" + obs::json::escaped(tenant) + "\"";
     out += ", \"queue_depth\": " + std::to_string(state.queue.depth());
     out += ", \"depth_watermark\": " + std::to_string(state.queue.depth_watermark());
     out += ", \"jobs_served\": " + std::to_string(state.queue.jobs_served());

@@ -1,8 +1,8 @@
 #include "serve/request.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
+
+#include "obs/json.hpp"
 
 namespace spi::serve {
 
@@ -42,37 +42,6 @@ std::size_t value_start(std::string_view body, std::string_view key) {
   return std::string_view::npos;
 }
 
-/// Advances `p` past a run of decimal digits; false when there is none.
-bool skip_digits(const char*& p, const char* end) {
-  const char* const first = p;
-  while (p < end && static_cast<unsigned>(*p - '0') < 10) ++p;
-  return p != first;
-}
-
-/// Parses the JSON number at `at`, advancing `at` past it; nullopt when
-/// the text there is not a JSON number or not a finite double (from_chars
-/// reports 1e400 out of range).
-std::optional<double> read_number(std::string_view s, std::size_t& at) {
-  const char* const first = s.data() + at;
-  const char* const end = s.data() + s.size();
-  const char* p = first;
-  if (p < end && *p == '-') ++p;
-  if (p < end && *p == '0')
-    ++p;
-  else if (!skip_digits(p, end))
-    return std::nullopt;
-  if (p < end && *p == '.' && !skip_digits(++p, end)) return std::nullopt;
-  if (p < end && (*p == 'e' || *p == 'E')) {
-    if (++p < end && (*p == '+' || *p == '-')) ++p;
-    if (!skip_digits(p, end)) return std::nullopt;
-  }
-  double value = 0.0;
-  const auto [parsed, ec] = std::from_chars(first, p, value);
-  if (ec != std::errc() || parsed != p) return std::nullopt;
-  at += static_cast<std::size_t>(p - first);
-  return value;
-}
-
 }  // namespace
 
 std::optional<std::string_view> json_string_field(std::string_view body, std::string_view key) {
@@ -90,7 +59,7 @@ bool json_has_field(std::string_view body, std::string_view key) {
 std::optional<double> json_number_field(std::string_view body, std::string_view key) {
   std::size_t at = value_start(body, key);
   if (at == std::string_view::npos) return std::nullopt;
-  const auto value = read_number(body, at);
+  const auto value = obs::json::read_double(body, at);
   at = skip_whitespace(body, at);
   if (!value || at >= body.size() || (body[at] != ',' && body[at] != '}')) return std::nullopt;
   return value;
@@ -108,7 +77,7 @@ std::optional<std::vector<double>> json_array_field(std::string_view body, std::
   at = skip_whitespace(body, at + 1);
   if (at < body.size() && body[at] == ']') return values;
   for (;;) {
-    const auto value = read_number(body, at);
+    const auto value = obs::json::read_double(body, at);
     if (!value) return std::nullopt;  // not a number
     values.push_back(*value);
     at = skip_whitespace(body, at);
@@ -117,15 +86,6 @@ std::optional<std::vector<double>> json_array_field(std::string_view body, std::
     if (body[at] != ',') return std::nullopt;
     at = skip_whitespace(body, at + 1);
   }
-}
-
-void append_double(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[32];  // the longest shortest form, "-2.2250738585072014e-308", is 24
-  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 }  // namespace spi::serve

@@ -7,12 +7,15 @@
 #include "apps/particle_app.hpp"
 #include "apps/speech_app.hpp"
 #include "dsp/particle_filter.hpp"
+#include "obs/json.hpp"
 #include "serve/plan_server.hpp"
 #include "serve/request.hpp"
 
 namespace spi::serve {
 
 namespace {
+
+using obs::json::append_double;
 
 constexpr std::uint64_t kMaxSeed = std::uint64_t{1} << 53;  ///< exact in a double
 constexpr std::uint64_t kMaxSteps = 4096;                   ///< particle trajectory cap

@@ -200,5 +200,44 @@ TEST(FlightLog, FromJsonRejectsMalformedInput) {
   EXPECT_THROW(FlightLog::from_json(bad.to_json()), std::invalid_argument);
 }
 
+TEST(FlightLog, FromJsonRejectsTrailingContentAndDeepNesting) {
+  FlightLog ok;
+  ok.proc_count = 1;
+  const std::string good = ok.to_json();
+  EXPECT_NO_THROW((void)FlightLog::from_json(good + " \n"));
+  EXPECT_THROW((void)FlightLog::from_json(good + "x"), std::invalid_argument);
+  EXPECT_THROW((void)FlightLog::from_json(good + "{}"), std::invalid_argument);
+  EXPECT_THROW((void)FlightLog::from_json(std::string(200'000, '[')), std::invalid_argument);
+  EXPECT_THROW((void)FlightLog::from_json("{\"events\":" + std::string(200'000, '[')),
+               std::invalid_argument);
+}
+
+TEST(FlightLog, FromJsonRangeChecksIntegers) {
+  // 4294967297 used to wrap to proc_count 1.
+  EXPECT_THROW((void)FlightLog::from_json(R"({"schema":1,"proc_count":4294967297})"),
+               std::invalid_argument);
+  for (const char* field : {"p", "a", "e", "x"}) {
+    const std::string doc = R"({"schema":1,"proc_count":1,"events":[{"k":0,")" +
+                            std::string(field) + R"(":4294967296}]})";
+    EXPECT_THROW((void)FlightLog::from_json(doc), std::invalid_argument) << field;
+  }
+  // Beyond int64: a typed error naming the offset, not std::out_of_range.
+  try {
+    (void)FlightLog::from_json(R"({"schema":1,"dropped":99999999999999999999})");
+    ADD_FAILURE() << "int64 overflow accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("offset 22"), std::string::npos) << e.what();
+  }
+}
+
+TEST(FlightLog, UnicodeNamesDecodeToUtf8AndRoundTrip) {
+  const FlightLog log = FlightLog::from_json(
+      R"({"schema":1,"proc_count":1,"actor_names":["caf\u00e9","\ud83d\ude00"]})");
+  ASSERT_EQ(log.actor_names.size(), 2u);
+  EXPECT_EQ(log.actor_names[0], "caf\xc3\xa9");
+  EXPECT_EQ(log.actor_names[1], "\xf0\x9f\x98\x80");
+  EXPECT_EQ(FlightLog::from_json(log.to_json()).actor_names, log.actor_names);
+}
+
 }  // namespace
 }  // namespace spi::obs

@@ -8,7 +8,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/json_lint.hpp"
+#include "obs/json.hpp"
 
 namespace spi::obs {
 namespace {
@@ -245,7 +245,7 @@ TEST(Metrics, ExportIsConsistentUnderConcurrentWrites) {
 
   for (int round = 0; round < 200; ++round) {
     const std::string json = registry.to_json();
-    EXPECT_EQ(detail::json_validate(json), "") << json;
+    EXPECT_EQ(obs::json::validate(json), "") << json;
     const std::string prom = registry.to_prometheus();
     // Parse the histogram lines back out: the +Inf cumulative bucket
     // must equal the _count line — a torn snapshot breaks this.

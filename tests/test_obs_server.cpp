@@ -22,7 +22,7 @@
 #include "apps/speech_app.hpp"
 #include "core/job_instance.hpp"
 #include "dsp/lpc.hpp"
-#include "obs/json_lint.hpp"
+#include "obs/json.hpp"
 #include "obs/obs_server.hpp"
 
 namespace spi::obs {
@@ -95,15 +95,15 @@ TEST(ObsServer, RoutesEveryEndpointWithoutSockets) {
   const HttpResponse json = server.handle("GET", "/metrics.json");
   EXPECT_EQ(json.status, 200);
   EXPECT_EQ(json.content_type, "application/json");
-  EXPECT_EQ(detail::json_validate(json.body), "") << json.body;
+  EXPECT_EQ(obs::json::validate(json.body), "") << json.body;
 
   const HttpResponse runtime = server.handle("GET", "/runtime?x=1");  // query ignored
   EXPECT_EQ(runtime.status, 200);
-  EXPECT_EQ(detail::json_validate(runtime.body), "") << runtime.body;
+  EXPECT_EQ(json::validate(runtime.body), "") << runtime.body;
 
   const HttpResponse health = server.handle("GET", "/healthz");
   EXPECT_EQ(health.status, 200);
-  EXPECT_EQ(detail::json_validate(health.body), "") << health.body;
+  EXPECT_EQ(json::validate(health.body), "") << health.body;
   EXPECT_NE(health.body.find("\"ok\":true"), std::string::npos);
 
   EXPECT_EQ(server.handle("GET", "/nope").status, 404);
@@ -135,7 +135,7 @@ TEST(ObsServer, UnhealthyWatchdogVerdictIs503) {
   const ObsServer server(std::move(options));
   const HttpResponse health = server.handle("GET", "/healthz");
   EXPECT_EQ(health.status, 503);
-  EXPECT_EQ(detail::json_validate(health.body), "") << health.body;
+  EXPECT_EQ(json::validate(health.body), "") << health.body;
 }
 
 TEST(ObsServer, ServesRealHttpOnEphemeralPort) {
@@ -153,7 +153,7 @@ TEST(ObsServer, ServesRealHttpOnEphemeralPort) {
 
   const HttpResult json = http_get(server.port(), "/metrics.json");
   EXPECT_EQ(json.status, 200);
-  EXPECT_EQ(detail::json_validate(json.body), "") << json.body;
+  EXPECT_EQ(obs::json::validate(json.body), "") << json.body;
 
   EXPECT_EQ(http_get(server.port(), "/healthz").status, 200);
   EXPECT_EQ(http_get(server.port(), "/missing").status, 404);
@@ -201,7 +201,7 @@ TEST(ObsServer, ConcurrentScrapesDuringSpeechRunAreCleanAndNonPerturbing) {
       }
       if (target == "/metrics") {
         if (r.body.rfind("# ", 0) != 0) scrape_failures.fetch_add(1);
-      } else if (detail::json_validate(r.body) != "") {
+      } else if (json::validate(r.body) != "") {
         scrape_failures.fetch_add(1);
       }
       scrapes_ok.fetch_add(1);

@@ -12,6 +12,7 @@
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
 #include "dsp/rng.hpp"
+#include "obs/json.hpp"
 
 namespace spi {
 namespace {
@@ -179,6 +180,62 @@ TEST(PlanRoundTrip, FromJsonRejectsMalformedDocuments) {
   EXPECT_THROW((void)core::ExecutablePlan::from_json("[1, 2]"), std::invalid_argument);
   EXPECT_THROW((void)core::ExecutablePlan::from_json(R"({"schema": 99})"),
                std::invalid_argument);
+}
+
+/// A two-processor plan whose names need every kind of escaping.
+core::ExecutablePlan hostile_name_plan() {
+  df::Graph g(std::string("graph\x01"));
+  const df::ActorId a = g.add_actor("A\nline", 10);
+  const df::ActorId b = g.add_actor("B\ttab\x01", 20);
+  g.connect(a, df::Rate::fixed(1), b, df::Rate::fixed(1), 0, 8, "edge\x01\"q\\\n");
+  sched::Assignment assignment(2, 2);
+  assignment.assign(b, 1);
+  return core::compile_plan(g, assignment);
+}
+
+TEST(PlanRoundTrip, ControlCharactersInNamesAreEscapedAndByteStable) {
+  const core::ExecutablePlan plan = hostile_name_plan();
+  const std::string json = plan.to_json();
+  EXPECT_EQ(obs::json::validate(json), "") << json;
+  const core::ExecutablePlan loaded = core::ExecutablePlan::from_json(json);
+  EXPECT_EQ(loaded.to_json(), json);
+  EXPECT_EQ(loaded.graph_name, plan.graph_name);
+  EXPECT_EQ(loaded.vts.graph.actor(0).name, "A\nline");
+  EXPECT_EQ(loaded.vts.graph.actor(1).name, "B\ttab\x01");
+  EXPECT_EQ(loaded.vts.graph.edge(0).name, "edge\x01\"q\\\n");
+}
+
+/// `json` with the first `from` replaced by `to`.
+std::string with(std::string json, const std::string& from, const std::string& to) {
+  const std::size_t at = json.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return at == std::string::npos ? json : json.replace(at, from.size(), to);
+}
+
+TEST(PlanRoundTrip, FromJsonRangeChecksNumbersAndFingerprints) {
+  const std::string json = hostile_name_plan().to_json();
+  ASSERT_NO_THROW((void)core::ExecutablePlan::from_json(json));
+  // Beyond int64 (strtoll used to clamp it to INT64_MAX).
+  EXPECT_THROW((void)core::ExecutablePlan::from_json(
+                   with(json, "\"exec_cycles\": 10}", "\"exec_cycles\": 99999999999999999999}")),
+               std::invalid_argument);
+  // Beyond an int32 field (static_cast used to narrow 4294967298 to 2).
+  EXPECT_THROW((void)core::ExecutablePlan::from_json(
+                   with(json, "\"processors\": 2,", "\"processors\": 4294967298,")),
+               std::invalid_argument);
+  // Negative into a size field.
+  EXPECT_THROW((void)core::ExecutablePlan::from_json(
+                   with(json, "\"acks_total\": ", "\"acks_total\": -1")),
+               std::invalid_argument);
+  // A fingerprint beyond uint64, or not a number at all (std::stoull used
+  // to throw std::out_of_range).
+  const std::size_t at = json.find("\"topology\": \"") + 13;
+  const std::string topology = json.substr(at, json.find('"', at) - at);
+  for (const char* bad : {"99999999999999999999999", "12x", ""})
+    EXPECT_THROW((void)core::ExecutablePlan::from_json(
+                     with(json, "\"topology\": \"" + topology, std::string("\"topology\": \"") + bad)),
+                 std::invalid_argument)
+        << bad;
 }
 
 TEST(PlanRoundTrip, ChannelIndexMatchesLinearScan) {

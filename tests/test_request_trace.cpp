@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
-#include "obs/json_lint.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
 
@@ -300,7 +300,7 @@ TEST(RequestTracerTest, RollupRendersEmptyPercentilesAsNull) {
   std::string out = "{";
   tracer.append_rollup_json(out, *series);
   out += "}";
-  EXPECT_TRUE(detail::json_validate(out).empty()) << out;
+  EXPECT_TRUE(json::validate(out).empty()) << out;
   EXPECT_NE(out.find("\"us_mean\": 10.0"), std::string::npos) << out;
   EXPECT_NE(out.find("\"us_p50\": null"), std::string::npos) << out;
   EXPECT_EQ(out.find("\"us_p99\": 0.0"), std::string::npos) << out;

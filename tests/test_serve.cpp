@@ -26,11 +26,13 @@
 #include "dsp/lpc.hpp"
 #include "dsp/particle_filter.hpp"
 #include "dsp/rng.hpp"
-#include "obs/json_lint.hpp"
+#include "obs/json.hpp"
 #include "serve/request.hpp"
 
 namespace spi::serve {
 namespace {
+
+using obs::json::append_double;
 
 /// The server's built-in model shapes, mirrored so tests can compute
 /// references through the same apps.
@@ -145,9 +147,9 @@ TEST(PlanServer, RoutesGetEndpointsWithoutSockets) {
   ASSERT_EQ(responses.size(), requests.size());
   EXPECT_EQ(responses[0].status, 200);
   EXPECT_EQ(responses[1].status, 200);
-  EXPECT_TRUE(obs::detail::json_validate(responses[1].body).empty()) << responses[1].body;
+  EXPECT_TRUE(obs::json::validate(responses[1].body).empty()) << responses[1].body;
   EXPECT_EQ(responses[2].status, 200);
-  EXPECT_TRUE(obs::detail::json_validate(responses[2].body).empty());
+  EXPECT_TRUE(obs::json::validate(responses[2].body).empty());
   EXPECT_EQ(responses[3].status, 404);
   EXPECT_EQ(responses[4].status, 405);
   EXPECT_EQ(responses[5].status, 404);
@@ -374,7 +376,7 @@ TEST(PlanServer, JobKeysAreMatchedAtTopLevelOnly) {
   EXPECT_EQ(responses[3].status, 400) << responses[3].body;
   EXPECT_EQ(responses[4].status, 400) << responses[4].body;
   const std::string runtime = server.runtime_json();
-  EXPECT_TRUE(obs::detail::json_validate(runtime).empty()) << runtime;
+  EXPECT_TRUE(obs::json::validate(runtime).empty()) << runtime;
   EXPECT_EQ(runtime.find("\"a\\"), std::string::npos) << "no truncated tenant: " << runtime;
 }
 
@@ -452,7 +454,7 @@ TEST(PlanServer, NonFiniteValuesNeverReachOrLeaveTheServer) {
   ASSERT_EQ(responses[2].status, 200) << responses[2].body;
   EXPECT_NE(responses[2].body.find("null"), std::string::npos) << responses[2].body;
   EXPECT_EQ(responses[2].body.find("inf"), std::string::npos) << responses[2].body;
-  EXPECT_TRUE(obs::detail::json_validate(responses[2].body).empty()) << responses[2].body;
+  EXPECT_TRUE(obs::json::validate(responses[2].body).empty()) << responses[2].body;
 }
 
 TEST(ServeRequest, NumbersFollowTheJsonGrammar) {
@@ -512,7 +514,7 @@ TEST(ServeRequest, EdgeDoublesRoundTripBitForBit) {
     append_double(body, edges[i]);
   }
   body += "]}";
-  EXPECT_TRUE(obs::detail::json_validate(body).empty()) << body;
+  EXPECT_TRUE(obs::json::validate(body).empty()) << body;
   const auto parsed = json_array_field(body, "v");
   ASSERT_TRUE(parsed.has_value()) << body;
   ASSERT_EQ(parsed->size(), edges.size()) << body;
@@ -633,6 +635,23 @@ TEST(PlanServer, PlanPostCachesByContentAndBudgetsMemory) {
   EXPECT_EQ(bad_responses.at(0).status, 400);
 }
 
+TEST(PlanServer, DeeplyNestedPlanIsA400AndTheServerKeepsServing) {
+  PlanServer server;
+  std::vector<obs::HttpRequest> requests = {
+      {"POST", "/plan", "HTTP/1.1", std::string(200'000, '['), true}};
+  std::vector<obs::HttpResponse> responses;
+  server.handle_burst(requests, responses);
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].status, 400);
+  EXPECT_TRUE(obs::json::validate(responses[0].body).empty()) << responses[0].body;
+  EXPECT_NE(responses[0].body.find("nesting too deep"), std::string::npos) << responses[0].body;
+
+  requests = job_burst({"{\"app\":\"speech\",\"frame_size\":8,\"order\":2,\"seed\":1}"});
+  server.handle_burst(requests, responses);
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].status, 200) << responses[0].body;
+}
+
 TEST(PlanServer, EvictionReturnsReservationToTheBudget) {
   PlanServerOptions options;
   options.plan_cache_capacity = 2;  // the two built-ins fill the cache
@@ -699,7 +718,7 @@ TEST(PlanServer, TraceSpansTileEndToEndAndTenantsRollUp) {
   // /trace: valid JSON holding one flat span per job, each tiling e2e.
   ASSERT_EQ(responses[0].status, 200);
   const std::string& trace = responses[0].body;
-  EXPECT_TRUE(obs::detail::json_validate(trace).empty()) << trace;
+  EXPECT_TRUE(obs::json::validate(trace).empty()) << trace;
   EXPECT_NE(trace.find("\"requests_total\": 5"), std::string::npos) << trace;
   EXPECT_NE(trace.find("\"sampled_total\": 5"), std::string::npos);
   std::size_t at = trace.find("\"spans\": [");
@@ -726,7 +745,7 @@ TEST(PlanServer, TraceSpansTileEndToEndAndTenantsRollUp) {
   // /tenants: per-tenant rollups for both tenants, queue facts included.
   ASSERT_EQ(responses[1].status, 200);
   const std::string& tenants = responses[1].body;
-  EXPECT_TRUE(obs::detail::json_validate(tenants).empty()) << tenants;
+  EXPECT_TRUE(obs::json::validate(tenants).empty()) << tenants;
   EXPECT_NE(tenants.find("\"t0\""), std::string::npos);
   EXPECT_NE(tenants.find("\"t1\""), std::string::npos);
   EXPECT_NE(tenants.find("\"stages\""), std::string::npos);
@@ -764,7 +783,7 @@ TEST(PlanServer, TracingDisabledStillServesEndpoints) {
   EXPECT_NE(responses[0].body.find("\"requests_total\": 0"), std::string::npos)
       << "disabled tracing allocates no spans";
   EXPECT_EQ(responses[1].status, 200);
-  EXPECT_TRUE(obs::detail::json_validate(responses[1].body).empty());
+  EXPECT_TRUE(obs::json::validate(responses[1].body).empty());
   EXPECT_EQ(responses[2].status, 404) << "no flight log without tracing";
 }
 
@@ -957,7 +976,7 @@ TEST(PlanServer, MultiClientSoakServesEveryJobAndScrape) {
     EXPECT_EQ(ok_per_client[static_cast<std::size_t>(c)], kBursts * kPipeline)
         << "client " << c << " lost responses";
   EXPECT_EQ(server.jobs_served(), kClients * kBursts * kPipeline);
-  EXPECT_TRUE(obs::detail::json_validate(server.runtime_json()).empty());
+  EXPECT_TRUE(obs::json::validate(server.runtime_json()).empty());
 }
 
 }  // namespace

@@ -18,7 +18,7 @@
 #include "core/job_instance.hpp"
 #include "core/worker_pool.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/json_lint.hpp"
+#include "obs/json.hpp"
 #include "obs/watchdog.hpp"
 #include "sim/fault.hpp"
 
@@ -96,14 +96,14 @@ TEST(Watchdog, ReportAndHealthJsonAreStrictlyValid) {
   const auto wd = make_classifier();
   const StallReport report = wd.classify(
       {worker(0, 1, 2, 1), worker(1, 7, -1, -1)}, 123);
-  EXPECT_EQ(detail::json_validate(report.to_json()), "") << report.to_json();
+  EXPECT_EQ(json::validate(report.to_json()), "") << report.to_json();
 
   HealthStatus health;
   health.ok = false;
   health.verdict = "stalled: deadlock on \"chan2\"";  // hostile quote
   health.last_progress_ms = 42;
   health.window_ms = 100;
-  EXPECT_EQ(detail::json_validate(health.to_json()), "") << health.to_json();
+  EXPECT_EQ(json::validate(health.to_json()), "") << health.to_json();
 }
 
 TEST(Watchdog, FiresOnFrozenEpochsAndReArmsOnProgress) {
@@ -290,7 +290,7 @@ TEST(WatchdogRuntime, DeadEdgeDeadlockIsDetectedClassifiedAndDumped) {
   std::stringstream buffer;
   buffer << snap.rdbuf();
   const std::string dump = buffer.str();
-  EXPECT_EQ(obs::detail::json_validate(dump), "") << dump;
+  EXPECT_EQ(obs::json::validate(dump), "") << dump;
   EXPECT_NE(dump.find("\"report\""), std::string::npos);
   EXPECT_NE(dump.find("\"runtime\""), std::string::npos);
   EXPECT_NE(dump.find("\"classification\":\"deadlock\""), std::string::npos);

@@ -2,8 +2,8 @@
 /// Tiny strict JSON validator for the tooling ctest tier: parses the
 /// whole input (a file argument, or stdin with no argument / "-") and
 /// exits 0 iff it is one well-formed JSON value with nothing but
-/// whitespace after it. The grammar lives in src/obs/json_lint.hpp so
-/// the in-process test suites can validate exporter output the same way.
+/// whitespace after it. The grammar is the codec's (src/obs/json.hpp), so
+/// the in-process test suites validate exporter output the same way.
 ///
 ///   spi_compile --metrics=json system.spi | json_check
 ///   json_check metrics.json
@@ -13,7 +13,7 @@
 #include <sstream>
 #include <string>
 
-#include "obs/json_lint.hpp"
+#include "obs/json.hpp"
 
 int main(int argc, char** argv) {
   if (argc > 2) {
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     text = buffer.str();
   }
 
-  const std::string error = spi::obs::detail::json_validate(text);
+  const std::string error = spi::obs::json::validate(text);
   if (!error.empty()) {
     std::fprintf(stderr, "json_check: %s: %s\n", path.c_str(), error.c_str());
     return 1;

@@ -34,6 +34,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,8 +42,8 @@
 #include "core/plan.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/text_escape.hpp"
 
 namespace {
 
@@ -78,10 +79,6 @@ bool write_file(const std::string& path, const std::string& content) {
 
 // ---------------------------------------------------------------------------
 // --serve-trace: Chrome export of a spi_served GET /trace dump.
-//
-// The dump's span objects are deliberately flat (obs/request_trace.cpp), so
-// a brace scan plus per-key field extraction is a complete parser for them —
-// no nested objects, no escapes beyond \" in tenant/app names.
 
 /// One request-lifecycle span as dumped by GET /trace. Stage durations
 /// tile [ingest, ingest + e2e): admission, queue, batch, exec, reply.
@@ -100,63 +97,27 @@ constexpr const char* kServeStageKeys[5] = {"admission_ns", "queue_ns", "batch_n
                                             "reply_ns"};
 constexpr const char* kServeStageNames[5] = {"admission", "queue", "batch", "exec", "reply"};
 
-long long span_field_int(const std::string& obj, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = obj.find(needle);
-  if (at == std::string::npos) return 0;
-  return std::atoll(obj.c_str() + at + needle.size());
-}
-
-std::string span_field_string(const std::string& obj, const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  std::size_t at = obj.find(needle);
-  if (at == std::string::npos) return {};
-  at += needle.size();
-  std::string value;
-  while (at < obj.size() && obj[at] != '"') {
-    if (obj[at] == '\\' && at + 1 < obj.size()) ++at;  // \" and \\ in tenant names
-    value += obj[at++];
-  }
-  return value;
-}
-
-/// Brace-scans the array named `key` for flat span objects, appending any
-/// span whose id is not already in `seen` (the ring and the outlier
-/// reservoir can both hold the same request).
-void parse_span_array(const std::string& text, const char* key, std::vector<ServeSpan>& spans,
-                      std::map<long long, bool>& seen) {
-  const std::string needle = std::string("\"") + key + "\": [";
-  std::size_t at = text.find(needle);
-  if (at == std::string::npos) return;
-  at += needle.size();
-  const std::size_t close = text.find(']', at);
-  while (true) {
-    const std::size_t open = text.find('{', at);
-    if (open == std::string::npos || (close != std::string::npos && open > close)) break;
-    const std::size_t end = text.find('}', open);
-    if (end == std::string::npos) break;
-    const std::string obj = text.substr(open, end - open + 1);
-    at = end + 1;
-    ServeSpan span;
-    span.id = span_field_int(obj, "id");
-    if (span.id <= 0 || seen.count(span.id)) continue;
-    seen[span.id] = true;
-    span.tenant = span_field_string(obj, "tenant");
-    span.app = span_field_string(obj, "app");
-    span.status = span_field_int(obj, "status");
-    span.batch = span_field_int(obj, "batch");
-    span.batch_size = span_field_int(obj, "batch_size");
-    span.ingest_ns = span_field_int(obj, "ingest_ns");
-    for (int s = 0; s < 5; ++s) span.stage_ns[s] = span_field_int(obj, kServeStageKeys[s]);
-    spans.push_back(std::move(span));
-  }
-}
-
+/// The spans of the dump's "spans" ring and "outliers" reservoir, each
+/// request once (both can hold the same request).
 std::vector<ServeSpan> parse_serve_trace(const std::string& text) {
+  const spi::obs::json::Value root = spi::obs::json::parse(text);
   std::vector<ServeSpan> spans;
-  std::map<long long, bool> seen;
-  parse_span_array(text, "spans", spans, seen);
-  parse_span_array(text, "outliers", spans, seen);
+  std::set<long long> seen;
+  for (const char* key : {"spans", "outliers"}) {
+    for (const spi::obs::json::Value& obj : root.at(key).as_array()) {
+      ServeSpan span;
+      span.id = obj.at("id").as_int<long long>();
+      if (span.id <= 0 || !seen.insert(span.id).second) continue;
+      span.tenant = obj.at("tenant").as_string();
+      span.app = obj.at("app").as_string();
+      span.status = obj.at("status").as_int<long long>();
+      span.batch = obj.at("batch").as_int<long long>();
+      span.batch_size = obj.at("batch_size").as_int<long long>();
+      span.ingest_ns = obj.at("ingest_ns").as_int<long long>();
+      for (int s = 0; s < 5; ++s) span.stage_ns[s] = obj.at(kServeStageKeys[s]).as_int<long long>();
+      spans.push_back(std::move(span));
+    }
+  }
   return spans;
 }
 
@@ -192,7 +153,7 @@ std::string serve_chrome_events(const std::vector<ServeSpan>& spans, double offs
     std::string& o = item();
     o += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(tid) +
          ",\"args\":{\"name\":\"tenant ";
-    spi::obs::detail::append_json_escaped(o, tenant);
+    spi::obs::json::append_escaped(o, tenant);
     o += "\"}}";
   }
   for (const ServeSpan& span : spans) {
@@ -212,7 +173,7 @@ std::string serve_chrome_events(const std::vector<ServeSpan>& spans, double offs
       append_chrome_double(o, dur_us);
       o += ",\"pid\":1,\"tid\":" + std::to_string(tid);
       o += ",\"args\":{\"request\":" + std::to_string(span.id) + ",\"app\":\"";
-      spi::obs::detail::append_json_escaped(o, span.app);
+      spi::obs::json::append_escaped(o, span.app);
       o += "\",\"status\":" + std::to_string(span.status) +
            ",\"batch\":" + std::to_string(span.batch) +
            ",\"batch_size\":" + std::to_string(span.batch_size) + "}}";
