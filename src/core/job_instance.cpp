@@ -13,6 +13,42 @@
 
 namespace spi::core {
 
+namespace {
+
+/// One channel's slab: its token capacity — the BBS bound (equation 2,
+/// converted to tokens) or the UBS credit window, times the tokens
+/// produced per iteration, plus the edge's initial tokens — and the
+/// per-token frame bound the SPSC slab reserves. Checked arithmetic: a
+/// plan whose numbers overflow the slab size is a typed error, not
+/// signed overflow.
+struct ChannelSlab {
+  std::int64_t capacity = 1;     ///< tokens (at least 1)
+  std::int64_t frame_bound = 1;  ///< bytes per token (at least 1)
+  std::int64_t bytes = 1;        ///< capacity x frame_bound
+};
+
+ChannelSlab channel_slab(const ExecutablePlan& plan, const ChannelSpec& spec) {
+  const auto overflow = [&] {
+    throw std::invalid_argument("JobInstance: channel " + spec.name +
+                                " overflows a 64-bit slab size");
+  };
+  std::int64_t per_iter = 0;
+  std::int64_t capacity = 0;
+  if (__builtin_mul_overflow(spec.prod_tokens, spec.src_firings_per_iteration, &per_iter) ||
+      __builtin_mul_overflow(spec.bbs_capacity_tokens.value_or(1), per_iter, &capacity) ||
+      __builtin_add_overflow(capacity, spec.delay_tokens, &capacity))
+    overflow();
+  const df::VtsEdgeInfo& info = plan.vts.edges[static_cast<std::size_t>(spec.edge)];
+  ChannelSlab slab;
+  slab.capacity = std::max<std::int64_t>(1, capacity);
+  slab.frame_bound =
+      std::max<std::int64_t>(1, info.converted ? info.b_max_bytes : spec.token_bytes);
+  if (__builtin_mul_overflow(slab.capacity, slab.frame_bound, &slab.bytes)) overflow();
+  return slab;
+}
+
+}  // namespace
+
 std::size_t FiringContext::input_index(df::EdgeId e) const {
   const auto it = std::find(in_edges.begin(), in_edges.end(), e);
   if (it == in_edges.end()) throw std::out_of_range("FiringContext: not an input edge");
@@ -53,13 +89,9 @@ void JobInstance::init() {
                                   graph_.edge(static_cast<df::EdgeId>(i)).name +
                                   " has no raw token size");
 
-  // Bounded channels for every interprocessor edge. Capacity: the BBS
-  // bound (equation 2, converted to tokens) or the UBS credit window,
-  // plus the edge's initial tokens.
+  // Bounded channels for every interprocessor edge, sized by channel_slab().
   for (const ChannelSpec& spec : plan_.channels) {
-    const std::int64_t per_iter = spec.prod_tokens * spec.src_firings_per_iteration;
-    const std::int64_t window = spec.bbs_capacity_tokens.value_or(1);
-    const std::int64_t capacity = window * per_iter + spec.delay_tokens;
+    const ChannelSlab slab = channel_slab(plan_, spec);
     const auto ei = static_cast<std::size_t>(spec.edge);
     const bool reliable = reliability_.enabled && spec.reliable;
 
@@ -127,7 +159,7 @@ void JobInstance::init() {
     registry_
         ->gauge("spi_channel_capacity_tokens", labels,
                 "Configured token capacity of one SPI channel (eq.-2 bound + delays)")
-        .set(static_cast<double>(std::max<std::int64_t>(1, capacity)));
+        .set(static_cast<double>(slab.capacity));
 
     if (!reliable) {
       // Plain edges batch message/byte accounting per firing in fire();
@@ -142,18 +174,14 @@ void JobInstance::init() {
     // deadline waits, or when the policy forces it.
     if (reliable || policy_ == ChannelPolicy::kBlockingOnly) {
       auto channel = std::make_unique<BlockingChannel>(
-          spec.edge, static_cast<std::size_t>(std::max<std::int64_t>(1, capacity)), abort_,
-          counters);
+          spec.edge, static_cast<std::size_t>(slab.capacity), abort_, counters);
       if (reliable) channel->enable_reliability(reliability_.faults, reliability_.policy());
       channel->set_colocated_flag(&colocated_, spec.name);
       blocking_[ei] = std::move(channel);
     } else {
-      const df::VtsEdgeInfo& info = plan_.vts.edges[ei];
-      const std::int64_t frame_bound =
-          info.converted ? info.b_max_bytes : spec.token_bytes;
       auto channel = std::make_unique<SpscChannel>(
-          spec.edge, static_cast<std::size_t>(std::max<std::int64_t>(1, capacity)),
-          static_cast<std::size_t>(std::max<std::int64_t>(1, frame_bound)), &abort_);
+          spec.edge, static_cast<std::size_t>(slab.capacity),
+          static_cast<std::size_t>(slab.frame_bound), &abort_);
       channel->set_counters(counters.spsc());
       channel->set_colocated_flag(&colocated_, spec.name);
       spsc_[ei] = std::move(channel);
@@ -239,21 +267,13 @@ void JobInstance::init() {
 }
 
 std::int64_t JobInstance::resident_channel_bytes(const ExecutablePlan& plan) {
-  // What one instance keeps resident in channel buffering: per channel,
-  // the eq.-2/credit-window token capacity (exactly the capacity init()
-  // builds the channel with) times the per-token frame bound the SPSC
-  // slab reserves. Computable from the plan alone, so admission control
-  // can reject a job before anything is allocated.
+  // What one instance keeps resident in channel buffering: every
+  // channel's slab, exactly as init() builds it. Computable from the
+  // plan alone, before anything is allocated.
   std::int64_t total = 0;
-  for (const ChannelSpec& spec : plan.channels) {
-    const std::int64_t per_iter = spec.prod_tokens * spec.src_firings_per_iteration;
-    const std::int64_t window = spec.bbs_capacity_tokens.value_or(1);
-    const std::int64_t capacity = std::max<std::int64_t>(1, window * per_iter + spec.delay_tokens);
-    const df::VtsEdgeInfo& info = plan.vts.edges[static_cast<std::size_t>(spec.edge)];
-    const std::int64_t frame_bound =
-        std::max<std::int64_t>(1, info.converted ? info.b_max_bytes : spec.token_bytes);
-    total += capacity * frame_bound;
-  }
+  for (const ChannelSpec& spec : plan.channels)
+    if (__builtin_add_overflow(total, channel_slab(plan, spec).bytes, &total))
+      throw std::invalid_argument("JobInstance: resident channel bytes overflow 64 bits");
   return total;
 }
 

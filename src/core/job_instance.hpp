@@ -280,9 +280,10 @@ class JobInstance {
 
   /// Bytes of channel buffering this instance keeps resident — the sum
   /// of every channel's slab (equation-2/credit-window capacity × frame
-  /// bound). This is the quantity the serve layer's AdmissionController
-  /// budgets; computed from the plan alone so admission can reject
-  /// *before* construction.
+  /// bound). The plan server checks its models' sum against its memory
+  /// budget; computed from the plan alone, before construction. Throws
+  /// std::invalid_argument, naming the channel, when a slab size
+  /// overflows 64 bits (the constructor throws the same).
   [[nodiscard]] std::int64_t resident_bytes() const { return resident_channel_bytes(plan_); }
   [[nodiscard]] static std::int64_t resident_channel_bytes(const ExecutablePlan& plan);
 

@@ -110,8 +110,8 @@ std::unique_ptr<SpiBackend> ExecutablePlan::make_backend() const {
 
 std::uint64_t ExecutablePlan::content_hash() const {
   // FNV-1a over (schema, topology, exec), little-endian byte order. The
-  // schema version participates so a breaking encoding change can never
-  // produce a stale PlanCache hit across daemon upgrades.
+  // schema version participates so a breaking encoding change never
+  // keeps the key of a plan encoded the old way.
   std::uint64_t h = 14695981039346656037ull;
   const auto mix = [&h](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -541,12 +541,27 @@ void ExecutablePlan::validate() const {
   require(proc_count > 0, "processor count must be positive");
   require(repetitions.consistent && repetitions.q.size() == actors,
           "repetitions vector does not match the graph");
+  std::int64_t firings = 0;
+  for (const std::int64_t q : repetitions.q)
+    require(q > 0 && !__builtin_add_overflow(firings, q, &firings),
+            "repetitions must be positive and sum within 64 bits");
+  for (const df::Edge& e : vts.graph.edges()) {
+    std::int64_t produced = 0;
+    std::int64_t consumed = 0;
+    require(!__builtin_mul_overflow(repetitions.of(e.src), e.prod.value(), &produced) &&
+                !__builtin_mul_overflow(repetitions.of(e.snk), e.cons.value(), &consumed) &&
+                produced == consumed,
+            "repetitions vector violates a balance equation");
+  }
   require(vts.edges.size() == edges, "VTS edge info does not match the graph");
+  for (std::size_t i = 0; i < edges; ++i)
+    require(vts.edges[i].b_max_bytes == vts.graph.edge(static_cast<df::EdgeId>(i)).token_bytes &&
+                vts.edges[i].raw_token_bytes > 0,
+            "VTS edge info disagrees with the converted token width");
   require(proc_of_actor.size() == actors, "assignment does not match the graph");
   for (sched::Proc p : proc_of_actor)
     require(p >= 0 && p < proc_count, "assignment names an unknown processor");
-  require(pass.admissible &&
-              pass.firings.size() == static_cast<std::size_t>(repetitions.total_firings()),
+  require(pass.admissible && pass.firings.size() == static_cast<std::size_t>(firings),
           "PASS length does not match the repetitions vector");
   require(pass.buffer_bound.size() == edges, "PASS buffer bounds do not match the graph");
   require(sync_graph.task_count() == pass.firings.size(),
@@ -579,6 +594,27 @@ void ExecutablePlan::validate() const {
       require(s < sync_graph.edges().size(), "channel references an unknown sync edge");
     require(spec.bbs_capacity_tokens.has_value() == spec.bbs_capacity_bytes.has_value(),
             "BBS capacity tokens and bytes must be set together");
+    std::int64_t capacity_bytes = 0;
+    require(!spec.bbs_capacity_tokens ||
+                (!__builtin_mul_overflow(*spec.bbs_capacity_tokens, spec.b_max_bytes,
+                                         &capacity_bytes) &&
+                 capacity_bytes == *spec.bbs_capacity_bytes),
+            "BBS capacity bytes are not capacity tokens x b_max_bytes");
+    // The channel geometry run_protocol_stage derives from the converted
+    // graph and the repetitions vector: a loaded plan may not restate it.
+    const df::Edge& e = vts.graph.edge(spec.edge);
+    const df::VtsEdgeInfo& info = vts.edges[static_cast<std::size_t>(spec.edge)];
+    require(proc_of(e.src) != proc_of(e.snk), "channel edge does not cross processors");
+    require(spec.mode == (info.converted ? SpiMode::kDynamic : SpiMode::kStatic),
+            "channel mode disagrees with the VTS conversion");
+    require(spec.b_max_bytes == info.b_max_bytes, "channel b_max_bytes disagrees with the graph");
+    require(spec.token_bytes == e.token_bytes, "channel token_bytes disagrees with the graph");
+    require(spec.raw_token_bytes == info.raw_token_bytes,
+            "channel raw_token_bytes disagrees with the graph");
+    require(spec.prod_tokens == e.prod.value(), "channel prod_tokens disagrees with the graph");
+    require(spec.delay_tokens == e.delay, "channel delay_tokens disagrees with the graph");
+    require(spec.src_firings_per_iteration == repetitions.of(e.src),
+            "channel src_firings_per_iteration disagrees with the repetitions vector");
   }
   const std::size_t expected = sync_graph.count_active(sched::SyncEdgeKind::kIpc) +
                                sync_graph.count_active(sched::SyncEdgeKind::kAck) +

@@ -108,8 +108,7 @@ struct FiringStep {
 /// assignment and the sync/resync options); `exec` covers the per-actor
 /// exec cycles alone. Incremental recompilation (core/pipeline.hpp)
 /// reuses a cached plan's stages when `topology` matches and only `exec`
-/// changed; a plan-serving daemon can make the same check without
-/// recompiling.
+/// changed.
 struct PlanFingerprints {
   std::uint64_t topology = 0;
   std::uint64_t exec = 0;
@@ -144,13 +143,12 @@ struct ExecutablePlan {
   /// Stable identity of this compiled plan: one FNV-1a round over the
   /// schema version and the topology/exec input fingerprints. Two plans
   /// share a content hash exactly when they were compiled from identical
-  /// inputs under the same schema — the key the serving layer's
-  /// PlanCache deduplicates on, surfaced in the spi_compile report and
-  /// in the plan JSON (fingerprints.content). Stable across processes
-  /// and serialization round-trips.
+  /// inputs under the same schema — surfaced in the spi_compile report,
+  /// the spi_served banner and the plan JSON (fingerprints.content).
+  /// Stable across processes and serialization round-trips.
   [[nodiscard]] std::uint64_t content_hash() const;
   /// content_hash() as the fixed-width lowercase hex string used in
-  /// JSON, reports and cache-lookup requests.
+  /// JSON and reports.
   [[nodiscard]] std::string content_hash_hex() const;
 
   [[nodiscard]] sched::Proc proc_of(df::ActorId a) const {
@@ -193,7 +191,10 @@ struct ExecutablePlan {
   /// or schema mismatch. The result passes validate().
   [[nodiscard]] static ExecutablePlan from_json(std::string_view text);
 
-  /// Internal-consistency check (sizes, index maps, message budget).
+  /// Internal-consistency check: sizes, index maps, the message budget,
+  /// the balance equations, and each channel's geometry (mode, token
+  /// widths, rates, delays, q[src], processor crossing, BBS bytes)
+  /// recomputed from the converted graph and the repetitions vector.
   /// Throws std::invalid_argument naming the first violated invariant.
   void validate() const;
 

@@ -1,6 +1,6 @@
 /// \file json.hpp
 /// The repository's one JSON codec. Everything that reads JSON — plans
-/// from `POST /plan` and `--load-plan`, flight-log dumps, `/trace` dumps,
+/// from `--load-plan`, flight-log dumps, `/trace` dumps,
 /// `json_check` — goes through the strict RFC 8259 pull Reader below, and
 /// every emitter escapes strings and writes doubles through the writer
 /// half. Structured documents cross trust boundaries here, so the reader:

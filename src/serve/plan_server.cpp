@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/job_instance.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
 #include "serve/request.hpp"
@@ -56,9 +55,7 @@ obs::RequestSpan span_ending(int status, std::int64_t ingest_ns,
 }  // namespace
 
 PlanServer::PlanServer(PlanServerOptions options)
-    : options_(std::move(options)),
-      cache_(options_.plan_cache_capacity),
-      admission_(options_.admission) {
+    : options_(std::move(options)), admission_(options_.admission) {
   if (options_.metrics) {
     metrics_ = options_.metrics;
   } else {
@@ -84,14 +81,15 @@ PlanServer::PlanServer(PlanServerOptions options)
                                        ++stalls_;
                                        metrics_->counter("spi_serve_stalls_total").inc();
                                      }};
-    // The built-in plans take the same admission + cache path tenant
-    // plans do — the server refuses to start with a budget its own
-    // models bust.
-    if (!admission_.admit_plan(model->instance.resident_bytes()).admitted)
-      throw std::invalid_argument(
-          "PlanServer: memory budget below the built-in models' resident bytes");
-    (void)cache_.insert(model->instance.plan());
+    resident_bytes_ += model->instance.resident_bytes();
   }
+  // The models are all the server ever runs: it refuses to start with a
+  // budget they bust, and then no request can reserve more.
+  if (resident_bytes_ > admission_.options().memory_budget_bytes)
+    throw std::invalid_argument("PlanServer: memory budget of " +
+                                std::to_string(admission_.options().memory_budget_bytes) +
+                                " bytes below the built-in models' resident " +
+                                std::to_string(resident_bytes_) + " bytes");
 }
 
 PlanServer::~PlanServer() { stop(); }
@@ -125,12 +123,8 @@ obs::HttpResponse PlanServer::handle_get(const obs::HttpRequest& request) {
   }
   if (path == "/metrics" || path == "/metrics.json") {
     metrics_->counter("spi_serve_requests_total", {{"route", "metrics"}}).inc();
-    metrics_->gauge("spi_serve_plan_cache_entries").set(static_cast<double>(cache_.size()));
-    metrics_->gauge("spi_serve_plan_cache_hits").set(static_cast<double>(cache_.hits()));
-    metrics_->gauge("spi_serve_plan_cache_misses").set(static_cast<double>(cache_.misses()));
-    metrics_->gauge("spi_serve_plan_cache_evictions").set(static_cast<double>(cache_.evictions()));
     metrics_->gauge("spi_serve_resident_reserved_bytes")
-        .set(static_cast<double>(admission_.reserved_bytes()));
+        .set(static_cast<double>(resident_bytes_));
     for (const auto& model : models_) model->instance.refresh_channel_gauges();
     for (const auto& [tenant, state] : tenants_) {
       const obs::Labels tenant_label{{"tenant", tenant}};
@@ -169,36 +163,6 @@ obs::HttpResponse PlanServer::handle_get(const obs::HttpRequest& request) {
   }
   metrics_->counter("spi_serve_requests_total", {{"route", "other"}}).inc();
   return json_response(404, "{\"error\": \"not found\"}\n");
-}
-
-obs::HttpResponse PlanServer::handle_plan_post(const obs::HttpRequest& request) {
-  metrics_->counter("spi_serve_requests_total", {{"route", "plan"}}).inc();
-  core::ExecutablePlan plan;
-  try {
-    plan = core::ExecutablePlan::from_json(request.body);
-  } catch (const std::exception& e) {
-    return bad_request(e.what());
-  }
-
-  const std::string key = plan.content_hash_hex();
-  const bool cached = cache_.contains(key);
-  std::int64_t resident = 0;
-  if (!cached) {
-    resident = core::JobInstance::resident_channel_bytes(plan);
-    const AdmissionDecision decision = admission_.admit_plan(resident);
-    if (!decision.admitted) {
-      metrics_->counter("spi_serve_rejects_total", {{"reason", decision.reason}}).inc();
-      return reject_response(decision.reason);
-    }
-  }
-  const auto entry = cache_.insert(std::move(plan));
-  // Evictions hand their reservation back to the budget.
-  admission_.release_plan(cache_.take_evicted_bytes());
-
-  std::string body = "{\"plan\": \"" + entry->key + "\", \"cached\": ";
-  body += cached ? "true" : "false";
-  body += ", \"resident_bytes\": " + std::to_string(entry->resident_bytes) + "}\n";
-  return json_response(cached ? 200 : 201, std::move(body));
 }
 
 void PlanServer::route_job(std::size_t index, const obs::HttpRequest& request,
@@ -390,9 +354,7 @@ void PlanServer::handle_burst(std::span<obs::HttpRequest> requests,
       continue;
     }
     const std::string_view path = path_of(request);
-    if (path == "/plan") {
-      responses[i] = handle_plan_post(request);
-    } else if (path == "/job") {
+    if (path == "/job") {
       route_job(i, request, responses);
     } else {
       metrics_->counter("spi_serve_requests_total", {{"route", "other"}}).inc();
@@ -425,16 +387,9 @@ std::string PlanServer::runtime_json() const {
   out += "  \"jobs_served\": " + std::to_string(jobs_served_) + ",\n";
   out += "  \"bursts\": " + std::to_string(bursts_) + ",\n";
   out += "  \"stalls\": " + std::to_string(stalls_) + ",\n";
-  out += "  \"plan_cache\": {\"entries\": " + std::to_string(cache_.size()) +
-         ", \"capacity\": " + std::to_string(cache_.capacity()) +
-         ", \"hits\": " + std::to_string(cache_.hits()) +
-         ", \"misses\": " + std::to_string(cache_.misses()) +
-         ", \"evictions\": " + std::to_string(cache_.evictions()) +
-         ", \"resident_bytes\": " + std::to_string(cache_.resident_bytes()) + "},\n";
-  out += "  \"admission\": {\"reserved_bytes\": " + std::to_string(admission_.reserved_bytes()) +
+  out += "  \"admission\": {\"reserved_bytes\": " + std::to_string(resident_bytes_) +
          ", \"memory_budget_bytes\": " + std::to_string(admission_.options().memory_budget_bytes) +
          ", \"max_queue_depth\": " + std::to_string(admission_.options().max_queue_depth) +
-         ", \"rejected_memory\": " + std::to_string(admission_.rejected_memory()) +
          ", \"rejected_queue\": " + std::to_string(admission_.rejected_queue()) + "},\n";
   out += "  \"models\": [\n";
   for (std::size_t i = 0; i < models_.size(); ++i)

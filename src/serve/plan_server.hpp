@@ -1,11 +1,8 @@
 /// \file plan_server.hpp
 /// The multi-tenant plan server (docs/serving.md).
 ///
-/// One persistent process serves many plan instances:
+/// One persistent process serves the built-in models' plan instances:
 ///
-///   POST /plan      — submit a compiled plan JSON; cached by content
-///                     hash (PlanCache), its equation-2 resident channel
-///                     memory reserved against the admission budget.
 ///   POST /job       — run one job on a built-in model ("speech" or
 ///                     "particle"); jobs admitted from one HTTP read
 ///                     burst are queued per tenant, then every tenant's
@@ -13,8 +10,8 @@
 ///                     per (model, batch key) — see served_model.hpp.
 ///   GET  /metrics   — Prometheus exposition of the serve + runtime
 ///                     counters; /metrics.json for the JSON form.
-///   GET  /runtime   — live server status JSON (cache, admission,
-///                     tenants, models).
+///   GET  /runtime   — live server status JSON (admission, tenants,
+///                     models).
 ///   GET  /healthz   — liveness.
 ///
 /// The server is synchronous and single-threaded by design: the target
@@ -23,7 +20,10 @@
 /// (HTTP/1.1 pipelining + BatchHandler + JobInstance::run_colocated)
 /// rather than to context-switch between worker threads. Every request
 /// is serialized through the poll thread, which is what makes the
-/// single-threaded PlanCache/JobQueue/JobInstance contracts sound.
+/// single-threaded JobQueue/JobInstance contracts sound.
+///
+/// A new app is served by adding a ServedModel (served_model.hpp); the
+/// server keeps no plans beyond the ones its models run.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +41,6 @@
 #include "obs/request_trace.hpp"
 #include "serve/admission.hpp"
 #include "serve/job_queue.hpp"
-#include "serve/plan_cache.hpp"
 
 namespace spi::serve {
 
@@ -51,7 +50,6 @@ struct PlanServerOptions {
   int port = 0;  ///< 0 = ephemeral
   std::string bind_address = "127.0.0.1";
   AdmissionController::Options admission;
-  std::size_t plan_cache_capacity = 64;
   /// Built-in model shapes (small defaults sized for one serving core;
   /// the bounds cap per-job input sizes).
   std::int32_t speech_pes = 2;
@@ -95,8 +93,10 @@ class PlanServer {
   void handle_burst(std::span<obs::HttpRequest> requests,
                     std::vector<obs::HttpResponse>& responses);
 
-  [[nodiscard]] const PlanCache& plan_cache() const { return cache_; }
   [[nodiscard]] const AdmissionController& admission() const { return admission_; }
+  /// Equation-2 resident channel bytes of the built-in models, checked
+  /// against the memory budget at construction.
+  [[nodiscard]] std::int64_t resident_bytes() const { return resident_bytes_; }
   [[nodiscard]] obs::MetricRegistry& metrics() { return *metrics_; }
   [[nodiscard]] std::int64_t jobs_served() const { return jobs_served_; }
   [[nodiscard]] std::string runtime_json() const;
@@ -104,9 +104,8 @@ class PlanServer {
   /// tracer's per-stage rollups.
   [[nodiscard]] std::string tenants_json() const;
   [[nodiscard]] const obs::RequestTracer& tracer() const { return *tracer_; }
-  /// Content hash of a built-in model's plan (pre-cached at startup),
-  /// e.g. plan_key("speech"); throws std::out_of_range for an app no
-  /// model serves.
+  /// Content hash of a built-in model's plan, e.g. plan_key("speech");
+  /// throws std::out_of_range for an app no model serves.
   [[nodiscard]] std::string plan_key(std::string_view app) const;
 
  private:
@@ -129,7 +128,6 @@ class PlanServer {
   };
 
   [[nodiscard]] obs::HttpResponse handle_get(const obs::HttpRequest& request);
-  [[nodiscard]] obs::HttpResponse handle_plan_post(const obs::HttpRequest& request);
   /// Parses and queues one POST /job, or answers it immediately (400 /
   /// 429) in `responses`.
   void route_job(std::size_t index, const obs::HttpRequest& request,
@@ -142,8 +140,8 @@ class PlanServer {
   std::unique_ptr<obs::MetricRegistry> owned_metrics_;
   obs::MetricRegistry* metrics_ = nullptr;
 
-  PlanCache cache_;
   AdmissionController admission_;
+  std::int64_t resident_bytes_ = 0;
   std::map<std::string, TenantState, std::less<>> tenants_;
   std::unique_ptr<obs::RequestTracer> tracer_;
   std::int64_t next_batch_id_ = 0;

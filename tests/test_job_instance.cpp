@@ -117,5 +117,29 @@ TEST(JobInstance, ConvertedEdgeNeedsARawTokenSize) {
   EXPECT_NO_THROW(JobInstance{system.plan()});
 }
 
+TEST(JobInstance, OverflowingChannelSlabIsATypedError) {
+  // prod_tokens = 2^62 on an in-memory plan (validate() never ran): the
+  // slab size overflows 64 bits, which is an std::invalid_argument
+  // naming the channel, never signed overflow or an absurd allocation.
+  TwoToOne f;
+  ExecutablePlan plan = SpiSystem(f.g, f.assignment).plan();
+  ASSERT_EQ(plan.channels.size(), 1u);
+  plan.channels[0].prod_tokens = std::int64_t{1} << 62;
+  const std::string& name = plan.channels[0].name;
+  for (const bool construct : {false, true}) {
+    try {
+      if (construct)
+        JobInstance{plan};
+      else
+        (void)JobInstance::resident_channel_bytes(plan);
+      ADD_FAILURE() << (construct ? "JobInstance" : "resident_channel_bytes")
+                    << " accepted a 2^62-token channel";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_THROW(plan.validate(), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace spi::core

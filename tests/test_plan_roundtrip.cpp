@@ -6,6 +6,7 @@
 /// when the deserialized plan is run instead of the compiled one.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "core/job_instance.hpp"
@@ -172,6 +173,45 @@ TEST(PlanRoundTrip, ValidateRejectsCorruptPlans) {
     broken.channels[0].edge += 40;  // no such edge in the graph
     EXPECT_THROW(broken.rebuild_channel_index(), std::invalid_argument);
   }
+
+  // Every field of the channel geometry the compiler derives from the
+  // converted graph and the repetitions vector is recomputed: a plan
+  // that restates one differently is rejected, naming the field.
+  ASSERT_EQ(plan.channels.size(), 1u);
+  const auto expect_rejected = [&](const char* what, auto corrupt) {
+    core::ExecutablePlan broken = core::ExecutablePlan::from_json(plan.to_json());
+    corrupt(broken, broken.channels[0]);
+    try {
+      broken.validate();
+      ADD_FAILURE() << "accepted a corrupt " << what;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    }
+  };
+  using Plan = core::ExecutablePlan;
+  using Channel = core::ChannelSpec;
+  expect_rejected("mode", [](Plan&, Channel& c) { c.mode = core::SpiMode::kDynamic; });
+  expect_rejected("b_max_bytes", [](Plan&, Channel& c) { c.b_max_bytes += 1; });
+  expect_rejected("token_bytes", [](Plan&, Channel& c) { c.token_bytes = -1'000'000'000'000; });
+  expect_rejected("raw_token_bytes", [](Plan&, Channel& c) { c.raw_token_bytes += 1; });
+  expect_rejected("prod_tokens", [](Plan&, Channel& c) { c.prod_tokens = std::int64_t{1} << 62; });
+  expect_rejected("delay_tokens", [](Plan&, Channel& c) { c.delay_tokens += 1; });
+  expect_rejected("src_firings_per_iteration",
+                  [](Plan&, Channel& c) { c.src_firings_per_iteration = 4; });
+  expect_rejected("cross processors", [](Plan& p, Channel&) { p.proc_of_actor[1] = 0; });
+  expect_rejected("balance equation", [](Plan& p, Channel&) { p.repetitions.q[0] = 2; });
+  expect_rejected("repetitions must be positive", [](Plan& p, Channel&) {
+    p.repetitions.q[0] = std::numeric_limits<std::int64_t>::max();
+  });
+  expect_rejected("VTS edge info", [](Plan& p, Channel&) { p.vts.edges[0].b_max_bytes += 1; });
+  expect_rejected("BBS capacity bytes", [](Plan&, Channel& c) {
+    c.bbs_capacity_tokens = 3;
+    c.bbs_capacity_bytes = 3 * c.b_max_bytes + 1;
+  });
+  expect_rejected("BBS capacity bytes", [](Plan&, Channel& c) {  // tokens x bytes overflows
+    c.bbs_capacity_tokens = std::int64_t{1} << 62;
+    c.bbs_capacity_bytes = 0;
+  });
 }
 
 TEST(PlanRoundTrip, FromJsonRejectsMalformedDocuments) {
@@ -180,6 +220,12 @@ TEST(PlanRoundTrip, FromJsonRejectsMalformedDocuments) {
   EXPECT_THROW((void)core::ExecutablePlan::from_json("[1, 2]"), std::invalid_argument);
   EXPECT_THROW((void)core::ExecutablePlan::from_json(R"({"schema": 99})"),
                std::invalid_argument);
+  try {
+    (void)core::ExecutablePlan::from_json(std::string(200'000, '['));
+    ADD_FAILURE() << "accepted 200 000 nested arrays";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting too deep"), std::string::npos) << e.what();
+  }
 }
 
 /// A two-processor plan whose names need every kind of escaping.

@@ -1,9 +1,10 @@
-/// Tests of the serving layer (docs/serving.md): PlanCache hit / miss /
-/// LRU eviction and deduplication, AdmissionController memory and
-/// queue-depth budgets, the PlanServer's socketless burst contract —
-/// including the headline guarantee that a batched colocated firing is
-/// bit-identical to running each job alone, for both built-in models —
-/// and a multi-client soak over real sockets (TSan-clean in CI).
+/// Tests of the serving layer (docs/serving.md): the AdmissionController
+/// queue-depth budget, the startup memory-budget check, the PlanServer's
+/// socketless burst contract — including the headline guarantee that a
+/// batched colocated firing is bit-identical to running each job alone,
+/// for both built-in models — a seeded mutation fuzz of `/job` bodies
+/// (FuzzJob), and a multi-client soak over real sockets (TSan-clean in
+/// CI).
 #include "serve/plan_server.hpp"
 
 #include <gtest/gtest.h>
@@ -16,13 +17,14 @@
 #include <bit>
 #include <cfloat>
 #include <cstring>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "apps/speech_app.hpp"
-#include "core/job_instance.hpp"
 #include "dsp/lpc.hpp"
 #include "dsp/particle_filter.hpp"
 #include "dsp/rng.hpp"
@@ -47,63 +49,10 @@ apps::ParticleParams server_particle_params() {
   return params;
 }
 
-core::ExecutablePlan speech_plan(std::int32_t pes, std::size_t max_frame) {
-  apps::SpeechParams params = server_speech_params();
-  params.max_frame_size = max_frame;
-  params.frame_size = std::min(params.frame_size, max_frame);
-  const apps::ErrorGenApp app(pes, params);
-  // Plans are value types: from_json(to_json) round-trips through the
-  // same path POST /plan uses.
-  return core::ExecutablePlan::from_json(app.system().plan().to_json());
-}
-
-TEST(PlanCache, DedupesHitsAndEvictsLeastRecentlyUsed) {
-  PlanCache cache(2);
-  const auto a = cache.insert(speech_plan(2, 128));
-  const auto b = cache.insert(speech_plan(2, 256));
-  ASSERT_NE(a->key, b->key) << "distinct bounds must hash differently";
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.misses(), 0);
-
-  // Re-inserting cached content is a hit, not a new entry.
-  EXPECT_EQ(cache.insert(speech_plan(2, 128))->key, a->key);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.hits(), 1);
-
-  EXPECT_NE(cache.find(a->key), nullptr);  // touches a: b is now LRU
-  EXPECT_EQ(cache.find("no-such-key"), nullptr);
-  EXPECT_EQ(cache.misses(), 1);
-
-  const auto c = cache.insert(speech_plan(3, 128));
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 1);
-  EXPECT_TRUE(cache.contains(a->key));
-  EXPECT_TRUE(cache.contains(c->key));
-  EXPECT_FALSE(cache.contains(b->key)) << "LRU entry must be the one evicted";
-  EXPECT_EQ(cache.take_evicted_bytes(), b->resident_bytes);
-  EXPECT_EQ(cache.take_evicted_bytes(), 0) << "take must drain";
-  EXPECT_EQ(cache.resident_bytes(), a->resident_bytes + c->resident_bytes);
-}
-
-TEST(PlanCache, RejectsZeroCapacity) {
-  EXPECT_THROW(PlanCache(0), std::invalid_argument);
-}
-
 TEST(AdmissionController, BudgetsMemoryAndQueueDepth) {
   AdmissionController::Options options;
-  options.memory_budget_bytes = 1000;
   options.max_queue_depth = 2;
   AdmissionController admission(options);
-
-  EXPECT_TRUE(admission.admit_plan(600).admitted);
-  const AdmissionDecision over = admission.admit_plan(500);
-  EXPECT_FALSE(over.admitted);
-  EXPECT_EQ(over.reason, "memory-budget");
-  EXPECT_EQ(admission.reserved_bytes(), 600);
-  EXPECT_EQ(admission.rejected_memory(), 1);
-
-  admission.release_plan(600);
-  EXPECT_TRUE(admission.admit_plan(500).admitted);
 
   EXPECT_TRUE(admission.admit_job(0).admitted);
   EXPECT_TRUE(admission.admit_job(1).admitted);
@@ -586,100 +535,171 @@ TEST(PlanServer, JobSeriesAppearInMetricsOnFirstUse) {
   EXPECT_EQ(m.histogram("spi_serve_batch_jobs", {}, {{"app", "speech"}}).count(), 2);
 }
 
-TEST(PlanServer, PlanPostCachesByContentAndBudgetsMemory) {
-  // Budget: both built-ins + the small plan fit; the big plan does not.
-  const auto big = speech_plan(2, 256 * 4);
-  const auto small = speech_plan(2, 128);
-  const std::int64_t builtin_bytes = [&] {
-    PlanServer probe;  // defaults
-    return probe.admission().reserved_bytes();
-  }();
-  PlanServerOptions options;
-  options.admission.memory_budget_bytes =
-      builtin_bytes + core::JobInstance::resident_channel_bytes(big) - 1;
-  PlanServer server(options);
+std::string read_source_file(const std::string& relative) {
+  std::ifstream in(std::string(SPI_SOURCE_DIR) + "/" + relative);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
 
-  const auto post_plan = [&](const core::ExecutablePlan& plan) {
-    std::vector<obs::HttpRequest> requests = {
-        {"POST", "/plan", "HTTP/1.1", plan.to_json(), true}};
+TEST(PlanServer, PlanPostIsA404AndTheServerKeepsServing) {
+  // The server stores no plans: neither a real compiled plan nor a
+  // hostile body reaches any parser, and the next job still serves.
+  const std::string golden = read_source_file("tools/golden/threaded_pipeline.plan.json");
+  ASSERT_FALSE(golden.empty()) << "golden plan not found under " << SPI_SOURCE_DIR;
+  PlanServer server;
+  for (const std::string& body : {golden, std::string(200'000, '[')}) {
+    std::vector<obs::HttpRequest> requests = {{"POST", "/plan", "HTTP/1.1", body, true}};
     std::vector<obs::HttpResponse> responses;
     server.handle_burst(requests, responses);
-    return responses.at(0);
-  };
+    ASSERT_EQ(responses.size(), 1u);
+    EXPECT_EQ(responses[0].status, 404);
+    EXPECT_TRUE(obs::json::validate(responses[0].body).empty()) << responses[0].body;
 
-  // The server's own speech plan is already cached at startup.
-  const obs::HttpResponse own = post_plan(
-      core::ExecutablePlan::from_json(
-          apps::ErrorGenApp(2, server_speech_params()).system().plan().to_json()));
-  EXPECT_EQ(own.status, 200);
-  EXPECT_NE(own.body.find("\"cached\": true"), std::string::npos);
-  EXPECT_NE(own.body.find(server.plan_key("speech")), std::string::npos);
-
-  const obs::HttpResponse rejected = post_plan(big);
-  EXPECT_EQ(rejected.status, 429);
-  EXPECT_NE(rejected.body.find("memory-budget"), std::string::npos);
-  EXPECT_EQ(server.admission().rejected_memory(), 1);
-
-  const obs::HttpResponse created = post_plan(small);
-  EXPECT_EQ(created.status, 201);
-  EXPECT_NE(created.body.find("\"cached\": false"), std::string::npos);
-  const obs::HttpResponse repeat = post_plan(small);
-  EXPECT_EQ(repeat.status, 200);
-  EXPECT_NE(repeat.body.find("\"cached\": true"), std::string::npos);
-  EXPECT_EQ(server.plan_cache().hits(), 2);  // own plan + the repeat
-
-  // Malformed plan JSON answers 400.
-  std::vector<obs::HttpRequest> bad = {{"POST", "/plan", "HTTP/1.1", "{not json", true}};
-  std::vector<obs::HttpResponse> bad_responses;
-  server.handle_burst(bad, bad_responses);
-  EXPECT_EQ(bad_responses.at(0).status, 400);
-}
-
-TEST(PlanServer, DeeplyNestedPlanIsA400AndTheServerKeepsServing) {
-  PlanServer server;
-  std::vector<obs::HttpRequest> requests = {
-      {"POST", "/plan", "HTTP/1.1", std::string(200'000, '['), true}};
-  std::vector<obs::HttpResponse> responses;
-  server.handle_burst(requests, responses);
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_EQ(responses[0].status, 400);
-  EXPECT_TRUE(obs::json::validate(responses[0].body).empty()) << responses[0].body;
-  EXPECT_NE(responses[0].body.find("nesting too deep"), std::string::npos) << responses[0].body;
-
-  requests = job_burst({"{\"app\":\"speech\",\"frame_size\":8,\"order\":2,\"seed\":1}"});
-  server.handle_burst(requests, responses);
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_EQ(responses[0].status, 200) << responses[0].body;
-}
-
-TEST(PlanServer, EvictionReturnsReservationToTheBudget) {
-  PlanServerOptions options;
-  options.plan_cache_capacity = 2;  // the two built-ins fill the cache
-  PlanServer server(options);
-  const std::int64_t before = server.admission().reserved_bytes();
-
-  const auto plan = speech_plan(2, 128);
-  const std::int64_t plan_bytes = core::JobInstance::resident_channel_bytes(plan);
-  std::vector<obs::HttpRequest> requests = {
-      {"POST", "/plan", "HTTP/1.1", plan.to_json(), true}};
-  std::vector<obs::HttpResponse> responses;
-  server.handle_burst(requests, responses);
-  ASSERT_EQ(responses.at(0).status, 201);
-
-  EXPECT_EQ(server.plan_cache().evictions(), 1);
-  EXPECT_EQ(server.plan_cache().size(), 2u);
-  // Net reservation: + new plan - evicted LRU built-in (the speech plan,
-  // inserted first at startup).
-  const std::int64_t speech_bytes = core::JobInstance::resident_channel_bytes(
-      apps::ErrorGenApp(2, server_speech_params()).system().plan());
-  EXPECT_EQ(server.admission().reserved_bytes(), before + plan_bytes - speech_bytes);
+    requests = job_burst({"{\"app\":\"speech\",\"frame_size\":8,\"order\":2,\"seed\":1}"});
+    server.handle_burst(requests, responses);
+    ASSERT_EQ(responses.size(), 1u);
+    EXPECT_EQ(responses[0].status, 200) << responses[0].body;
+  }
+  EXPECT_EQ(server.metrics().counter_value("spi_serve_requests_total", {{"route", "other"}}), 2);
+  EXPECT_EQ(server.jobs_served(), 2);
 }
 
 TEST(PlanServer, RefusesToStartBelowBuiltInResidentBytes) {
+  const std::int64_t builtin_bytes = PlanServer{}.resident_bytes();
+  ASSERT_GT(builtin_bytes, 0);
   PlanServerOptions options;
   options.admission.memory_budget_bytes = 16;
   EXPECT_THROW(PlanServer{options}, std::invalid_argument);
+  options.admission.memory_budget_bytes = builtin_bytes - 1;
+  EXPECT_THROW(PlanServer{options}, std::invalid_argument);
+  options.admission.memory_budget_bytes = builtin_bytes;  // an exact fit starts
+  const PlanServer server(options);
+  EXPECT_EQ(server.resident_bytes(), builtin_bytes);
+  const std::string runtime = server.runtime_json();
+  EXPECT_NE(runtime.find("\"reserved_bytes\": " + std::to_string(builtin_bytes)),
+            std::string::npos)
+      << runtime;
 }
+
+// --- FuzzJob: seeded mutations of /job bodies ------------------------------
+
+/// The fuzz seeds: an explicit speech frame, a synthetic speech job and
+/// an explicit particle job, each a clean body the server answers 200.
+const std::vector<std::string>& job_seeds() {
+  static const std::vector<std::string> seeds = [] {
+    const apps::SpeechCompressor codec(server_speech_params());
+    dsp::Rng speech_rng(3);
+    const auto frame = dsp::synthetic_speech(48, speech_rng);
+    dsp::Rng crack_rng(4);
+    const auto traj = dsp::simulate_crack(server_particle_params().model, 8, crack_rng);
+    return std::vector<std::string>{
+        "{\"app\":\"speech\",\"tenant\":\"t0\",\"frame\":" + frame_json(frame) +
+            ",\"coeffs\":" + frame_json(codec.frame_coefficients(frame)) + "}",
+        R"({"app":"speech","tenant":"t1","frame_size":24,"order":3,"seed":7})",
+        "{\"app\":\"particle\",\"seed\":42,\"observations\":" +
+            frame_json(traj.observations) + ",\"truth\":" + frame_json(traj.truth) + "}"};
+  }();
+  return seeds;
+}
+
+/// `seed` with one mutation: byte flips, a truncation, deep nesting, a
+/// huge number in place of a number, or a duplicate of one of its keys
+/// (the scanner reads a key's first occurrence).
+std::string mutate_job(const std::string& seed, dsp::Rng& rng) {
+  std::string doc = seed;
+  const auto at = [&](std::size_t size) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(size)));
+  };
+  switch (rng.uniform_int(0, 4)) {
+    case 0: {  // byte flips
+      const auto flips = rng.uniform_int(1, 4);
+      for (std::int64_t i = 0; i < flips; ++i)
+        doc[at(doc.size() - 1)] ^= static_cast<char>(rng.uniform_int(1, 255));
+      break;
+    }
+    case 1:  // truncation
+      doc.resize(at(doc.size()));
+      break;
+    case 2:  // deep nesting
+      doc.insert(at(doc.size()), static_cast<std::size_t>(rng.uniform_int(200, 5000)),
+                 rng.uniform_int(0, 1) ? '[' : '{');
+      break;
+    case 3: {  // a huge number in place of a number
+      static const char* const kHuge[] = {"99999999999999999999999", "-9223372036854775809",
+                                          "9223372036854775808", "4294967297", "1e400",
+                                          "-1e400", "1e308", "4.9e-324"};
+      std::size_t p = doc.find_first_of("0123456789", at(doc.size()));
+      if (p == std::string::npos) p = doc.find_first_of("0123456789");
+      std::size_t end = doc.find_first_not_of("0123456789.eE+-", p);
+      if (end == std::string::npos) end = doc.size();
+      doc.replace(p, end - p, kHuge[rng.uniform_int(0, 7)]);
+      break;
+    }
+    default: {  // a duplicate key, ahead of or behind the original
+      static const char* const kKeys[] = {"app", "tenant", "frame", "coeffs", "frame_size",
+                                          "order", "seed", "observations", "truth"};
+      static const char* const kValues[] = {"1", "-1", "0.5", "1e300", "\"particle\"",
+                                            "\"speech\"", "[]", "[1e308,-1e308]", "{}",
+                                            "null", "\"t\\u0001\""};
+      const std::string pair = std::string("\"") + kKeys[rng.uniform_int(0, 8)] +
+                               "\":" + kValues[rng.uniform_int(0, 10)];
+      if (rng.uniform_int(0, 1)) doc.insert(1, pair + ",");
+      else doc.insert(doc.size() - 1, "," + pair);
+    }
+  }
+  return doc;
+}
+
+class FuzzJob : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FuzzJob, MutatedBodiesAreServedOrRejectedTypedAndLeaveNoTrace) {
+  // Each seed's answer from a fresh server, alone in its burst: the
+  // single-job references the fuzzed server must still reproduce.
+  std::vector<std::string> references;
+  for (const std::string& seed : job_seeds()) {
+    PlanServer fresh;
+    std::vector<obs::HttpRequest> requests = job_burst({seed});
+    std::vector<obs::HttpResponse> responses;
+    fresh.handle_burst(requests, responses);
+    ASSERT_EQ(responses.at(0).status, 200) << seed << " -> " << responses[0].body;
+    references.push_back(responses[0].body);
+  }
+
+  PlanServer server;
+  dsp::Rng rng(GetParam());
+  std::int64_t ok = 0;
+  for (int round = 0; round < 100; ++round) {  // 300 mutated jobs
+    std::vector<std::string> bodies;
+    for (const std::string& seed : job_seeds()) bodies.push_back(mutate_job(seed, rng));
+    std::vector<obs::HttpRequest> requests = job_burst(bodies);
+    std::vector<obs::HttpResponse> responses;
+    server.handle_burst(requests, responses);
+    ASSERT_EQ(responses.size(), bodies.size());
+    for (std::size_t i = 0; i < bodies.size(); ++i) {
+      const int status = responses[i].status;
+      EXPECT_TRUE(status == 200 || status == 400 || status == 429)
+          << status << " for " << bodies[i].substr(0, 200) << " -> " << responses[i].body;
+      EXPECT_TRUE(obs::json::validate(responses[i].body).empty()) << responses[i].body;
+      ok += status == 200;
+    }
+  }
+  EXPECT_EQ(server.jobs_served(), ok);
+  // Both verdicts must occur, or one property above is never exercised.
+  EXPECT_GT(ok, 0);
+  EXPECT_LT(ok, 300);
+
+  std::vector<obs::HttpRequest> requests = job_burst(job_seeds());
+  std::vector<obs::HttpResponse> responses;
+  server.handle_burst(requests, responses);
+  ASSERT_EQ(responses.size(), references.size());
+  for (std::size_t i = 0; i < references.size(); ++i) {
+    EXPECT_EQ(responses[i].status, 200) << responses[i].body;
+    EXPECT_EQ(responses[i].body, references[i]) << "seed " << i << " after the fuzz";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FuzzJob, ::testing::Values(11, 22, 33, 44, 55));
 
 // --- request-lifecycle tracing (docs/observability.md) --------------------
 

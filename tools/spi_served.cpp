@@ -1,7 +1,7 @@
 /// \file spi_served.cpp
 /// The standalone multi-tenant plan-serving daemon (docs/serving.md).
 ///
-/// Hosts the serve::PlanServer — plan cache, admission control, built-in
+/// Hosts the serve::PlanServer — admission control and the built-in
 /// speech + particle models with batched colocated firing — behind one
 /// HTTP/1.1 endpoint. Announces the bound port on stderr as
 /// "listening on 127.0.0.1:PORT" (the same convention spi_compile's
@@ -10,14 +10,19 @@
 ///
 ///   spi_served --port 0 --memory-budget-mb 64 --watchdog-ms 2000
 ///
-/// Endpoints: POST /plan, POST /job, GET /metrics[.json], GET /runtime,
-/// GET /healthz, GET /trace, GET /trace/flight, GET /tenants.
+/// Endpoints: POST /job, GET /metrics[.json], GET /runtime, GET /healthz,
+/// GET /trace, GET /trace/flight, GET /tenants. Every numeric flag is a
+/// whole base-10 integer within the flag's range; anything else prints
+/// the usage text and exits 2.
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -34,9 +39,9 @@ int usage(const char* argv0) {
                "usage: %s [options]\n"
                "  --port N             listen port (default 0 = ephemeral)\n"
                "  --bind ADDR          bind address (default 127.0.0.1)\n"
-               "  --memory-budget-mb N admission memory budget (default 64)\n"
+               "  --memory-budget-mb N resident channel-memory budget the built-in\n"
+               "                       models must fit at startup (default 64)\n"
                "  --max-queue-depth N  per-tenant queued-job cap (default 4096)\n"
-               "  --plan-cache N       plan cache capacity (default 64)\n"
                "  --speech-pes N       speech model PEs (default 2)\n"
                "  --particle-pes N     particle model PEs (default 2)\n"
                "  --watchdog-ms N      per-batch stall watchdog window (default 2000)\n"
@@ -50,12 +55,28 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// The value of a numeric flag: a whole base-10 integer token in
+/// [lo, hi], or the usage text and exit 2.
+std::int64_t int_flag(const char* argv0, const std::string& flag, const char* text,
+                      std::int64_t lo, std::int64_t hi) {
+  std::int64_t value = 0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end || value < lo || value > hi) {
+    std::fprintf(stderr, "spi_served: %s expects an integer in [%lld, %lld], got '%s'\n",
+                 flag.c_str(), static_cast<long long>(lo), static_cast<long long>(hi), text);
+    std::exit(usage(argv0));
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   spi::serve::PlanServerOptions options;
   options.watchdog_ms = 2000;
-  long long max_seconds = -1;
+  std::int64_t max_seconds = -1;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -66,34 +87,37 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto int_arg = [&](std::int64_t lo, std::int64_t hi) {
+      return int_flag(argv[0], arg, next(), lo, hi);
+    };
     if (arg == "--port") {
-      options.port = std::atoi(next());
+      options.port = static_cast<int>(int_arg(0, 65535));
     } else if (arg == "--bind") {
       options.bind_address = next();
     } else if (arg == "--memory-budget-mb") {
-      options.admission.memory_budget_bytes = std::atoll(next()) << 20;
+      // The range keeps the MiB -> bytes shift inside 64 bits.
+      options.admission.memory_budget_bytes = int_arg(1, kMax >> 20) << 20;
     } else if (arg == "--max-queue-depth") {
-      options.admission.max_queue_depth = std::atoll(next());
-    } else if (arg == "--plan-cache") {
-      options.plan_cache_capacity = static_cast<std::size_t>(std::atoll(next()));
+      options.admission.max_queue_depth = int_arg(1, kMax);
     } else if (arg == "--speech-pes") {
-      options.speech_pes = std::atoi(next());
+      options.speech_pes = static_cast<std::int32_t>(int_arg(1, 256));
     } else if (arg == "--particle-pes") {
-      options.particle_pes = std::atoi(next());
+      options.particle_pes = static_cast<std::int32_t>(int_arg(1, 256));
     } else if (arg == "--watchdog-ms") {
-      options.watchdog_ms = std::atoll(next());
+      options.watchdog_ms = int_arg(0, 86'400'000);  // up to a day
     } else if (arg == "--dump-dir") {
       options.flight_dump_dir = next();
     } else if (arg == "--max-seconds") {
-      max_seconds = std::atoll(next());
+      // Bounded so the deadline's nanosecond count cannot overflow.
+      max_seconds = int_arg(0, std::numeric_limits<std::int32_t>::max());
     } else if (arg == "--no-trace") {
       options.trace.enabled = false;
     } else if (arg == "--trace-sample") {
-      options.trace.sample_every = std::atoll(next());
+      options.trace.sample_every = int_arg(1, kMax);
     } else if (arg == "--trace-ring") {
-      options.trace.ring_capacity = static_cast<std::size_t>(std::atoll(next()));
+      options.trace.ring_capacity = static_cast<std::size_t>(int_arg(1, 1 << 20));
     } else if (arg == "--trace-outliers") {
-      options.trace.outlier_capacity = static_cast<std::size_t>(std::atoll(next()));
+      options.trace.outlier_capacity = static_cast<std::size_t>(int_arg(0, 1 << 20));
     } else if (arg == "--help" || arg == "-h") {
       return usage(argv[0]);
     } else {
