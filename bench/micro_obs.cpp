@@ -6,10 +6,14 @@
 /// end-to-end overhead of running the threaded pipeline with the
 /// watchdog and telemetry server attached (the acceptance target is
 /// < 2% versus the bare run — run_benchmarks.sh derives the
-/// percentage as heartbeat_overhead_pct).
+/// percentage as heartbeat_overhead_pct), plus the JSON double writer
+/// against std::to_chars (BM_AppendDouble, BM_ToChars).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <charconv>
+#include <cmath>
+#include <random>
 #include <span>
 #include <string>
 #include <vector>
@@ -20,6 +24,7 @@
 #include "core/job_instance.hpp"
 #include "core/worker_pool.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs_server.hpp"
 #include "serve/plan_server.hpp"
@@ -169,12 +174,14 @@ void serve_burst_benchmark(benchmark::State& state, bool traced, std::int64_t sa
   serve::PlanServer server(options);  // no start(): socketless
 
   constexpr int kBurstJobs = 32;
+  std::vector<std::string> bodies;  // the requests view them
   std::vector<obs::HttpRequest> requests;
+  bodies.reserve(kBurstJobs);
   requests.reserve(kBurstJobs);
   for (int k = 0; k < kBurstJobs; ++k) {
-    const std::string body = "{\"app\":\"speech\",\"tenant\":\"t" + std::to_string(k % 2) +
-                             "\",\"frame_size\":32,\"order\":4,\"seed\":" + std::to_string(k) + "}";
-    requests.push_back({"POST", "/job", "HTTP/1.1", body, true});
+    bodies.push_back("{\"app\":\"speech\",\"tenant\":\"t" + std::to_string(k % 2) +
+                     "\",\"frame_size\":32,\"order\":4,\"seed\":" + std::to_string(k) + "}");
+    requests.push_back({"POST", "/job", "HTTP/1.1", bodies.back(), true});
   }
 
   std::vector<obs::HttpResponse> responses;
@@ -190,6 +197,50 @@ BENCHMARK(BM_ServeBurstBare)->Unit(benchmark::kMicrosecond)->MinTime(0.5);
 
 void BM_ServeBurstTraced(benchmark::State& state) { serve_burst_benchmark(state, true); }
 BENCHMARK(BM_ServeBurstTraced)->Unit(benchmark::kMicrosecond)->MinTime(0.5);
+
+/// Seeded doubles across magnitudes 1e-5..1e5, both signs: the spread
+/// of what /job replies and metric documents carry.
+const std::vector<double>& writer_inputs() {
+  static const std::vector<double> values = [] {
+    std::mt19937_64 rng(42);
+    std::uniform_real_distribution<double> mantissa(-1.0, 1.0);
+    std::uniform_int_distribution<int> exponent(-5, 5);
+    std::vector<double> out(4096);
+    for (double& v : out) v = mantissa(rng) * std::pow(10.0, exponent(rng));
+    return out;
+  }();
+  return values;
+}
+
+/// obs::json::append_double, the JSON writer's shortest round-trip form.
+void BM_AppendDouble(benchmark::State& state) {
+  std::string out;
+  out.reserve(25 * writer_inputs().size());
+  for (auto _ : state) {
+    out.clear();
+    for (const double v : writer_inputs()) obs::json::append_double(out, v);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(writer_inputs().size()));
+}
+BENCHMARK(BM_AppendDouble);
+
+/// The same bytes through std::to_chars and an append: the writer's
+/// differential oracle.
+void BM_ToChars(benchmark::State& state) {
+  std::string out;
+  out.reserve(25 * writer_inputs().size());
+  for (auto _ : state) {
+    out.clear();
+    for (const double v : writer_inputs()) {
+      char buf[32];
+      out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(writer_inputs().size()));
+}
+BENCHMARK(BM_ToChars);
 
 }  // namespace
 

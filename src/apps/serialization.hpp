@@ -42,11 +42,17 @@ inline void append_i32(Bytes& out, std::int32_t v) {
   return out;
 }
 
-[[nodiscard]] inline std::vector<double> unpack_f64(std::span<const std::uint8_t> bytes) {
+/// Unpacks into `out`, reusing its capacity.
+inline void unpack_f64(std::span<const std::uint8_t> bytes, std::vector<double>& out) {
   if (bytes.size() % sizeof(double) != 0)
     throw std::invalid_argument("unpack_f64: byte count not a multiple of 8");
-  std::vector<double> out(bytes.size() / sizeof(double));
+  out.resize(bytes.size() / sizeof(double));
   if (!out.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());  // empty: both null
+}
+
+[[nodiscard]] inline std::vector<double> unpack_f64(std::span<const std::uint8_t> bytes) {
+  std::vector<double> out;
+  unpack_f64(bytes, out);
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "apps/speech_app.hpp"
 
+#include <cstring>
 #include <stdexcept>
 
 #include "apps/serialization.hpp"
@@ -282,52 +283,90 @@ std::vector<double> ErrorGenApp::compute_errors_threaded(std::span<const double>
 std::vector<std::vector<double>> ErrorGenApp::compute_errors_batch(
     std::span<const SpeechJobSpec> jobs, core::JobInstance& instance,
     const core::RunOptions* run_options) const {
+  std::vector<std::vector<double>> results;
+  compute_errors_batch(jobs, instance, results, run_options);
+  return results;
+}
+
+namespace {
+
+/// What a batch's computes share. They capture a pointer to it plus the
+/// PE index — 16 bytes, so std::function keeps them inline instead of
+/// allocating one per actor per batch.
+struct SpeechBatch {
+  const ErrorGenApp& app;
+  std::span<const ErrorGenApp::SpeechJobSpec> jobs;
+  std::vector<std::vector<double>>& results;
+};
+
+/// Per-thread scratch for the PE computes' unpacked inputs and output,
+/// reused batch after batch.
+struct PeScratch {
+  std::vector<double> samples, coeffs, errors;
+};
+
+Bytes to_token(std::span<const double> values) {
+  Bytes token(values.size_bytes());
+  if (!values.empty()) std::memcpy(token.data(), values.data(), values.size_bytes());
+  return token;
+}
+
+}  // namespace
+
+void ErrorGenApp::compute_errors_batch(std::span<const SpeechJobSpec> jobs,
+                                       core::JobInstance& instance,
+                                       std::vector<std::vector<double>>& results,
+                                       const core::RunOptions* run_options) const {
   for (const SpeechJobSpec& job : jobs) {
     if (job.frame.size() > params_.max_frame_size)
       throw std::length_error("ErrorGenApp: frame exceeds the declared bound");
     if (job.coeffs.size() > params_.max_order)
       throw std::length_error("ErrorGenApp: order exceeds the declared bound");
   }
-  auto results = std::make_shared<std::vector<std::vector<double>>>();
-  results->reserve(jobs.size());
-  for (const SpeechJobSpec& job : jobs) results->emplace_back(job.frame.size(), 0.0);
+  results.resize(jobs.size());
+  for (std::size_t k = 0; k < jobs.size(); ++k) results[k].assign(jobs[k].frame.size(), 0.0);
 
   // Every speech actor fires exactly once per graph iteration, so after
   // reset_invocations() ctx.invocation names the queued job being fired.
-  // The lambdas hold the caller's span — valid because the whole batch
-  // runs to completion before this function returns.
+  // The computes point at `batch` — valid because the whole batch runs
+  // to completion before this function returns.
+  const SpeechBatch batch{*this, jobs, results};
   for (std::int32_t i = 0; i < pe_count_; ++i) {
     const auto idx = static_cast<std::size_t>(i);
-    instance.set_compute(send_frame_[idx], [this, i, idx, jobs](core::FiringContext& ctx) {
-      const SpeechJobSpec& job = jobs[static_cast<std::size_t>(ctx.invocation)];
-      const Section sec = section(i, job.frame.size(), job.coeffs.size());
+    instance.set_compute(send_frame_[idx], [b = &batch, i](core::FiringContext& ctx) {
+      const SpeechJobSpec& job = b->jobs[static_cast<std::size_t>(ctx.invocation)];
+      const Section sec = b->app.section(i, job.frame.size(), job.coeffs.size());
       const std::span<const double> data(job.frame);
       const auto shipped = data.subspan(sec.begin - sec.history, sec.history + sec.count);
-      ctx.outputs[ctx.output_index(frame_edge_[idx])] = {pack_f64(shipped)};
+      ctx.outputs[ctx.output_index(b->app.frame_edge_[static_cast<std::size_t>(i)])].push_back(
+          to_token(shipped));
     });
-    instance.set_compute(send_coeff_[idx], [this, idx, jobs](core::FiringContext& ctx) {
-      const SpeechJobSpec& job = jobs[static_cast<std::size_t>(ctx.invocation)];
-      ctx.outputs[ctx.output_index(coeff_edge_[idx])] = {pack_f64(job.coeffs)};
+    instance.set_compute(send_coeff_[idx], [b = &batch, i](core::FiringContext& ctx) {
+      const SpeechJobSpec& job = b->jobs[static_cast<std::size_t>(ctx.invocation)];
+      ctx.outputs[ctx.output_index(b->app.coeff_edge_[static_cast<std::size_t>(i)])].push_back(
+          to_token(job.coeffs));
     });
-    instance.set_compute(pe_[idx], [this, i, idx, jobs](core::FiringContext& ctx) {
-      const SpeechJobSpec& job = jobs[static_cast<std::size_t>(ctx.invocation)];
-      const Section sec = section(i, job.frame.size(), job.coeffs.size());
-      const std::vector<double> samples =
-          unpack_f64(ctx.inputs[ctx.input_index(frame_edge_[idx])][0]);
-      const std::vector<double> coeffs_in =
-          unpack_f64(ctx.inputs[ctx.input_index(coeff_edge_[idx])][0]);
-      const std::vector<double> errors =
-          dsp::prediction_error(samples, coeffs_in, sec.history, sec.count);
-      ctx.outputs[ctx.output_index(err_edge_[idx])] = {pack_f64(errors)};
+    instance.set_compute(pe_[idx], [b = &batch, i](core::FiringContext& ctx) {
+      const auto pe = static_cast<std::size_t>(i);
+      const SpeechJobSpec& job = b->jobs[static_cast<std::size_t>(ctx.invocation)];
+      const Section sec = b->app.section(i, job.frame.size(), job.coeffs.size());
+      thread_local PeScratch scratch;
+      unpack_f64(ctx.inputs[ctx.input_index(b->app.frame_edge_[pe])][0], scratch.samples);
+      unpack_f64(ctx.inputs[ctx.input_index(b->app.coeff_edge_[pe])][0], scratch.coeffs);
+      scratch.errors.resize(sec.count);
+      dsp::prediction_error(scratch.samples, scratch.coeffs, sec.history, scratch.errors);
+      ctx.outputs[ctx.output_index(b->app.err_edge_[pe])].push_back(to_token(scratch.errors));
     });
-    instance.set_compute(recv_err_[idx], [this, i, idx, jobs, results](core::FiringContext& ctx) {
+    instance.set_compute(recv_err_[idx], [b = &batch, i](core::FiringContext& ctx) {
       const auto job_index = static_cast<std::size_t>(ctx.invocation);
-      const SpeechJobSpec& job = jobs[job_index];
-      const Section sec = section(i, job.frame.size(), job.coeffs.size());
-      const std::vector<double> errors =
-          unpack_f64(ctx.inputs[ctx.input_index(err_edge_[idx])][0]);
-      std::copy(errors.begin(), errors.end(),
-                (*results)[job_index].begin() + static_cast<std::ptrdiff_t>(sec.begin));
+      const SpeechJobSpec& job = b->jobs[job_index];
+      const Section sec = b->app.section(i, job.frame.size(), job.coeffs.size());
+      const df::EdgeId edge = b->app.err_edge_[static_cast<std::size_t>(i)];
+      const Bytes& errors = ctx.inputs[ctx.input_index(edge)][0];
+      if (errors.size() != sec.count * sizeof(double))
+        throw std::invalid_argument("ErrorGenApp: error token does not fit its section");
+      if (!errors.empty())
+        std::memcpy(b->results[job_index].data() + sec.begin, errors.data(), errors.size());
     });
   }
 
@@ -339,7 +378,6 @@ std::vector<std::vector<double>> ErrorGenApp::compute_errors_batch(
   } else {
     instance.run_colocated(static_cast<std::int64_t>(jobs.size()));
   }
-  return std::move(*results);
 }
 
 sim::ExecStats ErrorGenApp::run_timed(std::size_t sample_size, std::size_t order,

@@ -173,6 +173,12 @@ class ErrorGenApp {
   [[nodiscard]] std::vector<std::vector<double>> compute_errors_batch(
       std::span<const SpeechJobSpec> jobs, core::JobInstance& instance,
       const core::RunOptions* run_options = nullptr) const;
+  /// compute_errors_batch into `results` (one vector per job), reusing
+  /// their capacity: a server firing batch after batch allocates only the
+  /// tokens the firings emit.
+  void compute_errors_batch(std::span<const SpeechJobSpec> jobs, core::JobInstance& instance,
+                            std::vector<std::vector<double>>& results,
+                            const core::RunOptions* run_options = nullptr) const;
 
   /// Figure 6: timed execution at a given run-time sample size and
   /// predictor order; returns per-iteration statistics. `backend`

@@ -74,14 +74,21 @@ std::vector<double> prediction_error(std::span<const double> frame,
   if (begin + count > frame.size())
     throw std::out_of_range("prediction_error: section exceeds frame");
   std::vector<double> error(count);
-  for (std::size_t n = begin; n < begin + count; ++n) {
+  prediction_error(frame, coeffs, begin, error);
+  return error;
+}
+
+void prediction_error(std::span<const double> frame, std::span<const double> coeffs,
+                      std::size_t begin, std::span<double> error) {
+  if (begin + error.size() > frame.size())
+    throw std::out_of_range("prediction_error: section exceeds frame");
+  for (std::size_t n = begin; n < begin + error.size(); ++n) {
     double pred = 0.0;
     for (std::size_t k = 1; k <= coeffs.size(); ++k) {
       if (n >= k) pred += coeffs[k - 1] * frame[n - k];
     }
     error[n - begin] = frame[n] - pred;
   }
-  return error;
 }
 
 std::vector<double> lpc_reconstruct(std::span<const double> error,

@@ -43,6 +43,9 @@ void hamming_window(std::span<double> frame);
 [[nodiscard]] std::vector<double> prediction_error(std::span<const double> frame,
                                                    std::span<const double> coeffs,
                                                    std::size_t begin, std::size_t count);
+/// prediction_error into `error`, whose size is the count.
+void prediction_error(std::span<const double> frame, std::span<const double> coeffs,
+                      std::size_t begin, std::span<double> error);
 
 /// Reconstructs samples from the prediction error (decoder side; used by
 /// round-trip tests): x[n] = e[n] + sum a[k-1] x[n-k].

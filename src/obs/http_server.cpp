@@ -70,24 +70,25 @@ std::string_view trimmed(std::string_view s) {
 
 enum class ParseResult { kRequest, kNeedMore, kBad };
 
-/// Parses one request off the front of `inbox` (erasing what it
-/// consumed). kNeedMore = the head or the declared body is incomplete.
-ParseResult parse_request(std::string& inbox, HttpRequest& out) {
-  const std::size_t head_end = inbox.find("\r\n\r\n");
-  if (head_end == std::string::npos)
-    return inbox.size() > kMaxHeadBytes ? ParseResult::kBad : ParseResult::kNeedMore;
+/// Parses one request off `input` (the unconsumed bytes of an inbox),
+/// setting `consumed` to its length; the body views into `input`.
+/// kNeedMore = the head or the declared body is incomplete.
+ParseResult parse_request(std::string_view input, HttpRequest& out, std::size_t& consumed) {
+  const std::size_t head_end = input.find("\r\n\r\n");
+  if (head_end == std::string_view::npos)
+    return input.size() > kMaxHeadBytes ? ParseResult::kBad : ParseResult::kNeedMore;
   if (head_end > kMaxHeadBytes) return ParseResult::kBad;
 
-  const std::string_view head(inbox.data(), head_end);
+  const std::string_view head = input.substr(0, head_end);
   const std::size_t line_end = head.find("\r\n");
   const std::string_view request_line = head.substr(0, line_end);
   const std::size_t m_end = request_line.find(' ');
   const std::size_t t_end =
       m_end == std::string_view::npos ? std::string_view::npos : request_line.find(' ', m_end + 1);
   if (t_end == std::string_view::npos) return ParseResult::kBad;
-  out.method = std::string(request_line.substr(0, m_end));
-  out.target = std::string(request_line.substr(m_end + 1, t_end - m_end - 1));
-  out.version = std::string(trimmed(request_line.substr(t_end + 1)));
+  out.method = request_line.substr(0, m_end);
+  out.target = request_line.substr(m_end + 1, t_end - m_end - 1);
+  out.version = trimmed(request_line.substr(t_end + 1));
   if (out.method.empty() || out.target.empty() ||
       (out.version != "HTTP/1.0" && out.version != "HTTP/1.1"))
     return ParseResult::kBad;
@@ -124,15 +125,15 @@ ParseResult parse_request(std::string& inbox, HttpRequest& out) {
   }
 
   const std::size_t total = head_end + 4 + content_length;
-  if (inbox.size() < total) return ParseResult::kNeedMore;
-  out.body = inbox.substr(head_end + 4, content_length);
+  if (input.size() < total) return ParseResult::kNeedMore;
+  out.body = input.substr(head_end + 4, content_length);
 
   // Keep-alive: the HTTP/1.1 default, opt-out via "Connection: close".
   // HTTP/1.0 stays single-request even if the client asks — old clients
   // of the telemetry server read to EOF, and that contract is kept.
   out.keep_alive = out.version == "HTTP/1.1" &&
                    !(have_connection && iequals(connection, "close"));
-  inbox.erase(0, total);
+  consumed = total;
   return ParseResult::kRequest;
 }
 
@@ -218,23 +219,29 @@ bool HttpServer::process_input(Connection& conn) {
   // Drain every complete pipelined request out of the inbox, dispatch
   // them as one batch, and answer with one send. The burst size is the
   // client's pipeline depth — this is where the per-request cost
-  // amortizes.
-  std::vector<HttpRequest> requests;
+  // amortizes. Request bodies view the inbox, so the consumed bytes are
+  // dropped only after the handler has run: one move per read, however
+  // deep the pipeline.
+  std::vector<HttpRequest>& requests = burst_requests_;
+  requests.clear();
+  std::size_t consumed = 0;
   bool bad = false;
   for (;;) {
-    HttpRequest request;
-    const ParseResult result = parse_request(conn.inbox, request);
-    if (result == ParseResult::kNeedMore) break;
-    if (result == ParseResult::kBad) {
-      bad = true;
+    HttpRequest& request = requests.emplace_back();
+    std::size_t length = 0;
+    const ParseResult result =
+        parse_request(std::string_view(conn.inbox).substr(consumed), request, length);
+    if (result != ParseResult::kRequest) {
+      requests.pop_back();
+      bad = result == ParseResult::kBad;
       break;
     }
-    const bool keep = request.keep_alive;
-    requests.push_back(std::move(request));
-    if (!keep) break;  // anything pipelined after "close" is ignored
+    consumed += length;
+    if (!request.keep_alive) break;  // anything pipelined after "close" is ignored
   }
 
-  std::vector<HttpResponse> responses;
+  std::vector<HttpResponse>& responses = burst_responses_;
+  responses.clear();
   if (!requests.empty()) {
     responses.reserve(requests.size());
     if (options_.batch_handler) {
@@ -251,7 +258,8 @@ bool HttpServer::process_input(Connection& conn) {
     }
   }
 
-  std::string wire;
+  std::string& wire = wire_;
+  wire.clear();
   for (std::size_t i = 0; i < requests.size(); ++i)
     serialize_response(wire, requests[i], responses[i]);
   if (bad) {
@@ -259,33 +267,49 @@ bool HttpServer::process_input(Connection& conn) {
     serialize_response(wire, kBadRequest,
                        {400, "application/json", "{\"error\": \"malformed request\"}\n"});
   }
+  const bool keep_open = !bad && (requests.empty() || requests.back().keep_alive);
+  conn.inbox.erase(0, consumed);
   // Counted before the reply leaves: a client that has read a full
   // response can rely on requests_served() already covering it.
   requests_.fetch_add(static_cast<std::int64_t>(requests.size()) + (bad ? 1 : 0),
                       std::memory_order_relaxed);
   if (!wire.empty() && !send_all(conn.fd, wire)) return false;
-  if (bad) return false;
-  return requests.empty() || requests.back().keep_alive;
+  return keep_open;
 }
 
 void HttpServer::serve() {
+  // pfds[0] is the listener and pfds[i + 1] the poll entry of
+  // connections[i]: the two vectors change together, never rebuilt.
   std::vector<Connection> connections;
-  std::vector<pollfd> pfds;
+  std::vector<pollfd> pfds{{listen_fd_, POLLIN, 0}};
   char buf[64 * 1024];
 
   const auto close_connection = [&](std::size_t index) {
     ::close(connections[index].fd);
     connections.erase(connections.begin() + static_cast<std::ptrdiff_t>(index));
+    pfds.erase(pfds.begin() + static_cast<std::ptrdiff_t>(index) + 1);
   };
 
   while (!stop_.load(std::memory_order_relaxed)) {
-    pfds.clear();
-    pfds.push_back({listen_fd_, POLLIN, 0});
-    for (const Connection& conn : connections) pfds.push_back({conn.fd, POLLIN, 0});
-
     const int ready = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), /*timeout_ms=*/200);
     if (stop_.load(std::memory_order_relaxed)) break;
     if (ready <= 0) continue;
+
+    // Walk backwards so closing a connection does not disturb the
+    // pfds<->connections correspondence of entries not yet visited.
+    // Connections accepted below are polled from the next wakeup on.
+    for (std::size_t i = pfds.size(); i-- > 1;) {
+      if (pfds[i].revents == 0) continue;
+      Connection& conn = connections[i - 1];
+      const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
+      if (n <= 0) {
+        if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) continue;
+        close_connection(i - 1);
+        continue;
+      }
+      conn.inbox.append(buf, static_cast<std::size_t>(n));
+      if (!process_input(conn)) close_connection(i - 1);
+    }
 
     if (pfds[0].revents != 0) {
       // Accept the whole backlog: at high connection-churn rates one
@@ -308,24 +332,8 @@ void HttpServer::serve() {
         const int one = 1;
         ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
         connections.push_back({conn, {}});
+        pfds.push_back({conn, POLLIN, 0});
       }
-    }
-
-    // Walk backwards so closing a connection does not disturb the
-    // pfds<->connections correspondence of entries not yet visited.
-    for (std::size_t i = pfds.size(); i-- > 1;) {
-      if (pfds[i].revents == 0) continue;
-      const std::size_t ci = i - 1;
-      if (ci >= connections.size()) continue;
-      Connection& conn = connections[ci];
-      const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
-      if (n <= 0) {
-        if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) continue;
-        close_connection(ci);
-        continue;
-      }
-      conn.inbox.append(buf, static_cast<std::size_t>(n));
-      if (!process_input(conn)) close_connection(ci);
     }
   }
 

@@ -30,6 +30,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -40,14 +41,18 @@ struct HttpRequest {
   std::string method;   ///< "GET", "POST", ...
   std::string target;   ///< origin-form target, query string included
   std::string version;  ///< "HTTP/1.0" or "HTTP/1.1"
-  std::string body;     ///< Content-Length bytes (empty without one)
+  /// Content-Length bytes (empty without one), viewing into the
+  /// connection's input: valid for the handler call only.
+  std::string_view body;
   bool keep_alive = false;  ///< connection survives after the response
 };
 
 /// One rendered HTTP response (routing result, pre-serialization).
 struct HttpResponse {
   int status = 200;
-  std::string content_type = "text/plain; charset=utf-8";
+  /// A string with static storage (a literal): responses are made by the
+  /// thousand, and a view costs nothing to make or copy.
+  std::string_view content_type = "text/plain; charset=utf-8";
   std::string body;
 };
 
@@ -98,9 +103,10 @@ class HttpServer {
   };
 
   void serve();
-  /// Parses every complete request out of conn.inbox (consuming them),
-  /// dispatches, and writes the serialized responses in one send.
-  /// Returns false when the connection must be closed.
+  /// Parses every complete request out of conn.inbox, dispatches them,
+  /// writes the serialized responses in one send, and then drops the
+  /// consumed bytes from the inbox in one move. Returns false when the
+  /// connection must be closed.
   bool process_input(Connection& conn);
 
   Options options_;
@@ -109,6 +115,10 @@ class HttpServer {
   std::thread thread_;
   std::atomic<bool> stop_{false};
   std::atomic<std::int64_t> requests_{0};
+  // The event loop's per-burst scratch, reused from burst to burst.
+  std::vector<HttpRequest> burst_requests_;
+  std::vector<HttpResponse> burst_responses_;
+  std::string wire_;
 };
 
 }  // namespace spi::obs

@@ -1,6 +1,6 @@
 /// \file json.hpp
 /// The repository's one JSON codec. Everything that reads JSON — plans
-/// from `--load-plan`, flight-log dumps, `/trace` dumps,
+/// from `--load-plan`, flight-log dumps, `/trace` dumps, `/job` bodies,
 /// `json_check` — goes through the strict RFC 8259 pull Reader below, and
 /// every emitter escapes strings and writes doubles through the writer
 /// half. Structured documents cross trust boundaries here, so the reader:
@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -83,10 +84,16 @@ class Reader {
 
   [[nodiscard]] std::string string();
   void string(std::string& out);
+  /// A string's contents, viewing into the text, when it has no escape;
+  /// nullopt (with the string read past and checked) when it has one.
+  [[nodiscard]] std::optional<std::string_view> plain_string();
   [[nodiscard]] bool boolean();
   void null();
   /// A number's text, checked against the grammar only.
   [[nodiscard]] std::string_view number_text();
+  /// A number as a double; nullopt (with the number read past) when it
+  /// lies outside double range, as 1e400 does.
+  [[nodiscard]] std::optional<double> number();
   template <typename T>
   [[nodiscard]] T integer() {
     (void)peek();
@@ -162,8 +169,11 @@ struct Value {
 void append_escaped(std::string& out, std::string_view s);
 [[nodiscard]] std::string escaped(std::string_view s);
 
-/// Appends `v` in its shortest round-trip form; a non-finite value has no
-/// JSON spelling and is written as null.
+/// Appends `v` in its shortest round-trip form, byte for byte what
+/// std::to_chars(first, last, v) writes; a non-finite value has no JSON
+/// spelling and is written as null.
 void append_double(std::string& out, double v);
+/// Appends `values` as a JSON array of append_double's numbers.
+void append_doubles(std::string& out, std::span<const double> values);
 
 }  // namespace spi::obs::json

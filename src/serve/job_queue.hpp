@@ -14,25 +14,23 @@
 /// server's poll thread.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <string_view>
 #include <utility>
+#include <vector>
 
 namespace spi::serve {
 
-/// One admitted job waiting for its batch: which burst slot to answer,
-/// which served model runs it, and the raw request body (parsed at drain
-/// time; it views the burst's request, which outlives the synchronous
-/// drain).
+/// One admitted job waiting for its batch: which burst slot to answer
+/// (the server keeps the slot's body, already read into a JobBody) and
+/// which served model runs it.
 /// The trace fields are the job's request-lifecycle context
 /// (obs/request_trace.hpp): span id plus the ingest and enqueue stamps,
 /// carried through the queue so the drain can attribute queue wait.
 struct QueuedJob {
   std::size_t request_index = 0;  ///< slot in the burst's response vector
   std::size_t model = 0;          ///< index into the server's models
-  std::string_view body;          ///< request JSON
   std::uint64_t span_id = 0;      ///< 0 = untraced
   std::int64_t ingest_ns = 0;     ///< burst entry (tracer clock)
   std::int64_t enqueued_ns = 0;   ///< enqueue stamp (shared per burst)
@@ -43,18 +41,23 @@ class JobQueue {
   explicit JobQueue(std::string tenant) : tenant_(std::move(tenant)) {}
 
   void push(QueuedJob job) {
-    queue_.push_back(std::move(job));
+    queue_.push_back(job);
     depth_watermark_ = std::max<std::int64_t>(depth_watermark_, depth());
   }
 
   QueuedJob pop() {
-    QueuedJob job = std::move(queue_.front());
-    queue_.pop_front();
+    const QueuedJob job = queue_[head_++];
+    if (head_ == queue_.size()) {  // drained: rewind, keeping the storage
+      queue_.clear();
+      head_ = 0;
+    }
     return job;
   }
 
-  [[nodiscard]] bool empty() const { return queue_.empty(); }
-  [[nodiscard]] std::int64_t depth() const { return static_cast<std::int64_t>(queue_.size()); }
+  [[nodiscard]] bool empty() const { return head_ == queue_.size(); }
+  [[nodiscard]] std::int64_t depth() const {
+    return static_cast<std::int64_t>(queue_.size() - head_);
+  }
   /// High-water queue depth since construction (a gauge on /metrics —
   /// the closest the synchronous server gets to "queueing delay").
   [[nodiscard]] std::int64_t depth_watermark() const { return depth_watermark_; }
@@ -67,7 +70,8 @@ class JobQueue {
 
  private:
   std::string tenant_;
-  std::deque<QueuedJob> queue_;
+  std::vector<QueuedJob> queue_;  ///< FIFO from head_; the drain empties it every burst
+  std::size_t head_ = 0;
   std::int64_t depth_watermark_ = 0;
   std::int64_t jobs_served_ = 0;
 };

@@ -8,7 +8,6 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
-#include "serve/request.hpp"
 #include "serve/served_model.hpp"
 
 namespace spi::serve {
@@ -170,7 +169,16 @@ void PlanServer::route_job(std::size_t index, const obs::HttpRequest& request,
   if (job_requests_ == nullptr)
     job_requests_ = &metrics_->counter("spi_serve_requests_total", {{"route", "job"}});
   job_requests_->inc();
-  const auto app = json_string_field(request.body, "app");
+  // The body is read once, here; the model parses the job from the same
+  // JobBody at drain time.
+  JobBody& body = job_bodies_[index];
+  try {
+    body.read(request.body);
+  } catch (const std::invalid_argument& e) {
+    responses[index] = bad_request(e.what());
+    return;
+  }
+  const auto app = body.string("app");
   std::size_t model = 0;
   while (app && model < models_.size() && models_[model]->app != *app) ++model;
   if (!app || model == models_.size()) {
@@ -179,8 +187,8 @@ void PlanServer::route_job(std::size_t index, const obs::HttpRequest& request,
     responses[index] = bad_request("job requires \"app\": " + names);
     return;
   }
-  const auto tenant_field = json_string_field(request.body, "tenant");
-  if (!tenant_field && json_has_field(request.body, "tenant")) {
+  const auto tenant_field = body.string("tenant");
+  if (!tenant_field && body.has("tenant")) {
     responses[index] = bad_request("job \"tenant\" must be a string without escapes");
     return;
   }
@@ -209,7 +217,7 @@ void PlanServer::route_job(std::size_t index, const obs::HttpRequest& request,
     }
     return;
   }
-  QueuedJob job{index, model, request.body, 0, 0, 0};
+  QueuedJob job{index, model, 0, 0, 0};
   if (state.series != nullptr) {
     job.span_id = tracer_->begin_span();
     job.ingest_ns = burst_ingest_ns_;
@@ -222,7 +230,7 @@ void PlanServer::route_job(std::size_t index, const obs::HttpRequest& request,
     if (burst_admit_ns_ < 0) burst_admit_ns_ = tracer_->now_ns();
     job.enqueued_ns = burst_admit_ns_;
   }
-  state.queue.push(std::move(job));
+  state.queue.push(job);
 }
 
 void PlanServer::drain_burst(std::vector<obs::HttpResponse>& responses) {
@@ -231,18 +239,16 @@ void PlanServer::drain_burst(std::vector<obs::HttpResponse>& responses) {
 
   // Stage every tenant's jobs with their models. Jobs sharing a (model,
   // batch key) fire together whichever tenant sent them; within a batch
-  // they stay grouped by tenant, in queue order.
-  struct Staged {
-    QueuedJob job;
-    TenantState* tenant;
-  };
-  std::map<std::pair<std::size_t, std::int64_t>, std::vector<Staged>> batches;
+  // they stay grouped by tenant, in queue order. Batches fire in (model,
+  // key) order.
+  staged_.clear();
+  batch_keys_.clear();
   for (auto& [name, tenant] : tenants_) {
     tenant.queue.count_served(tenant.queue.depth());
     while (!tenant.queue.empty()) {
-      QueuedJob job = tenant.queue.pop();
+      const QueuedJob job = tenant.queue.pop();
       ServedModel& model = *models_[job.model];
-      auto key = model.stage(job.body);
+      auto key = model.stage(job_bodies_[job.request_index]);
       if (const auto* error = std::get_if<std::string>(&key)) {
         responses[job.request_index] = bad_request(*error);
         // Rejected while parsing: the lifecycle ends inside the
@@ -254,11 +260,18 @@ void PlanServer::drain_burst(std::vector<obs::HttpResponse>& responses) {
               {&job.span_id, 1}, name, model.app);
         continue;
       }
-      batches[{job.model, std::get<std::int64_t>(key)}].push_back({std::move(job), &tenant});
+      const BatchKey batch{job.model, std::get<std::int64_t>(key)};
+      staged_.push_back({job, &tenant, batch});
+      const auto at = std::lower_bound(batch_keys_.begin(), batch_keys_.end(), batch);
+      if (at == batch_keys_.end() || *at != batch) batch_keys_.insert(at, batch);
     }
   }
 
-  for (auto& [key, jobs] : batches) {
+  for (const BatchKey& key : batch_keys_) {
+    batch_.clear();
+    for (const Staged& staged : staged_)
+      if (staged.batch == key) batch_.push_back(&staged);
+    const std::vector<const Staged*>& jobs = batch_;
     ServedModel& model = *models_[key.first];
     ModelSeries& series = model_series_[key.first];
     if (series.batches == nullptr) {
@@ -276,7 +289,7 @@ void PlanServer::drain_burst(std::vector<obs::HttpResponse>& responses) {
     // exactly this batch's causal firing stream (GET /trace/flight).
     const bool capture_flight =
         std::any_of(jobs.begin(), jobs.end(),
-                    [&](const Staged& s) { return tracer_->is_sampled(s.job.span_id); }) &&
+                    [&](const Staged* s) { return tracer_->is_sampled(s->job.span_id); }) &&
         tracer_->want_flight();
     if (capture_flight) {
       model.flight.set_armed(true);
@@ -284,19 +297,29 @@ void PlanServer::drain_burst(std::vector<obs::HttpResponse>& responses) {
     }
     model.run_options.batch_id = capture_flight ? batch_id : -1;
 
+    // Each reply is rendered straight into its response.
+    reply_bodies_.clear();
+    for (const Staged* staged : jobs) {
+      obs::HttpResponse& response = responses[staged->job.request_index];
+      response.status = 200;
+      response.content_type = "application/json";
+      response.body.clear();
+      reply_bodies_.push_back(&response.body);
+    }
     const std::int64_t formed_ns = traced ? tracer_->now_ns() : 0;
     int status = 200;
-    std::vector<std::string> bodies;
     try {
-      bodies = model.fire(key.second);
+      model.fire(key.second, reply_bodies_);
     } catch (const std::exception& e) {
       status = 500;
-      bodies.assign(jobs.size(),
-                    "{\"error\": \"" + obs::json::escaped(e.what()) + "\"}\n");
+      const std::string body = "{\"error\": \"" + obs::json::escaped(e.what()) + "\"}\n";
+      for (const Staged* staged : jobs) {
+        obs::HttpResponse& response = responses[staged->job.request_index];
+        response.status = 500;
+        response.body = body;
+      }
     }
     const std::int64_t exec_end_ns = traced ? tracer_->now_ns() : 0;
-    for (std::size_t k = 0; k < jobs.size(); ++k)
-      responses[jobs[k].job.request_index] = json_response(status, std::move(bodies[k]));
     if (status == 200) jobs_served_ += static_cast<std::int64_t>(jobs.size());
 
     // Reply stamp before the bookkeeping below: per-tenant accounting
@@ -312,16 +335,16 @@ void PlanServer::drain_burst(std::vector<obs::HttpResponse>& responses) {
     // batched firing), so one span stands for all of them; per tenant in
     // the batch it completes once, with that tenant's span ids.
     obs::RequestSpan span =
-        span_ending(status, jobs.front().job.ingest_ns,
-                    {jobs.front().job.enqueued_ns, drain_ns, formed_ns, exec_end_ns, reply_ns});
+        span_ending(status, jobs.front()->job.ingest_ns,
+                    {jobs.front()->job.enqueued_ns, drain_ns, formed_ns, exec_end_ns, reply_ns});
     span.batch_id = batch_id;
     span.batch_size = static_cast<std::int32_t>(jobs.size());
     for (std::size_t begin = 0, end = 0; begin < jobs.size(); begin = end) {
-      TenantState& tenant = *jobs[begin].tenant;
+      TenantState& tenant = *jobs[begin]->tenant;
       const std::string& name = tenant.queue.tenant();
       span_ids_scratch_.clear();
-      for (end = begin; end < jobs.size() && jobs[end].tenant == &tenant; ++end)
-        if (jobs[end].job.span_id != 0) span_ids_scratch_.push_back(jobs[end].job.span_id);
+      for (end = begin; end < jobs.size() && jobs[end]->tenant == &tenant; ++end)
+        if (jobs[end]->job.span_id != 0) span_ids_scratch_.push_back(jobs[end]->job.span_id);
       if (status == 200) {
         obs::Counter*& served = tenant.jobs_total[key.first];
         if (served == nullptr)
@@ -342,6 +365,7 @@ void PlanServer::handle_burst(std::span<obs::HttpRequest> requests,
   burst_ingest_ns_ = tracer_->enabled() ? tracer_->now_ns() : 0;
   burst_admit_ns_ = -1;
   responses.resize(requests.size());
+  if (job_bodies_.size() < requests.size()) job_bodies_.resize(requests.size());
 
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const obs::HttpRequest& request = requests[i];

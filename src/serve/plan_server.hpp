@@ -32,6 +32,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "apps/particle_app.hpp"
@@ -40,6 +41,7 @@
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
 #include "serve/admission.hpp"
+#include "serve/job_body.hpp"
 #include "serve/job_queue.hpp"
 
 namespace spi::serve {
@@ -150,6 +152,21 @@ class PlanServer {
   /// job (-1 = not yet): one clock read per burst, not per job.
   std::int64_t burst_admit_ns_ = -1;
   std::vector<std::uint64_t> span_ids_scratch_;  ///< reused per drained batch
+
+  // Per-burst scratch, kept so a steady stream of bursts stages its
+  // jobs without touching the heap.
+  /// A batch: the model index and the batch key the model named.
+  using BatchKey = std::pair<std::size_t, std::int64_t>;
+  struct Staged {
+    QueuedJob job;
+    TenantState* tenant;
+    BatchKey batch;
+  };
+  std::vector<JobBody> job_bodies_;            ///< per request slot; grows only
+  std::vector<Staged> staged_;                 ///< the burst's staged jobs, in tenant order
+  std::vector<BatchKey> batch_keys_;           ///< the burst's batches, sorted
+  std::vector<const Staged*> batch_;           ///< the batch being fired
+  std::vector<std::string*> reply_bodies_;     ///< its jobs' response bodies
 
   std::vector<std::unique_ptr<ServedModel>> models_;
   std::vector<ModelSeries> model_series_;  ///< parallel to models_

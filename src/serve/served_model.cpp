@@ -1,5 +1,6 @@
 #include "serve/served_model.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <numeric>
 #include <optional>
@@ -9,13 +10,13 @@
 #include "dsp/particle_filter.hpp"
 #include "obs/json.hpp"
 #include "serve/plan_server.hpp"
-#include "serve/request.hpp"
 
 namespace spi::serve {
 
 namespace {
 
 using obs::json::append_double;
+using obs::json::append_doubles;
 
 constexpr std::uint64_t kMaxSeed = std::uint64_t{1} << 53;  ///< exact in a double
 constexpr std::uint64_t kMaxSteps = 4096;                   ///< particle trajectory cap
@@ -25,60 +26,57 @@ constexpr const char* kBadSeed = "job \"seed\" must be an integer in [0, 2^53]";
 /// has no such field; nullopt when the field is present but not a finite
 /// integral number in range. Checked before the cast, so no input makes
 /// the conversion undefined.
-std::optional<std::uint64_t> integer_field(std::string_view body, std::string_view key,
+std::optional<std::uint64_t> integer_field(const JobBody& body, std::string_view key,
                                            std::uint64_t fallback, std::uint64_t lo,
                                            std::uint64_t hi) {
-  const auto value = json_number_field(body, key);
-  if (!value) return json_has_field(body, key) ? std::nullopt : std::optional(fallback);
+  const auto value = body.number(key);
+  if (!value) return body.has(key) ? std::nullopt : std::optional(fallback);
   const bool in_range = *value >= static_cast<double>(lo) && *value <= static_cast<double>(hi);
   if (!in_range || std::trunc(*value) != *value) return std::nullopt;  // NaN is not in range
   return static_cast<std::uint64_t>(*value);
-}
-
-/// Job field `key` as an array of numbers, `fallback()` when the body has
-/// no such field; nullopt when the field is present but is not an array
-/// of finite JSON numbers.
-template <class Fallback>
-std::optional<std::vector<double>> array_field(std::string_view body, std::string_view key,
-                                               Fallback fallback) {
-  auto values = json_array_field(body, key);
-  if (!values && !json_has_field(body, key)) return fallback();
-  return values;
 }
 
 std::string bad_array(std::string_view key) {
   return "job \"" + std::string(key) + "\" must be an array of finite JSON numbers";
 }
 
+/// Copies job field `key`, an array of numbers, into `out`; `fallback(out)`
+/// fills it when the body has no such field. False when the field is
+/// present but is not an array of finite JSON numbers.
+template <class Fallback>
+bool array_field(const JobBody& body, std::string_view key, std::vector<double>& out,
+                 Fallback fallback) {
+  if (const auto values = body.array(key)) {
+    out.assign(values->begin(), values->end());
+    return true;
+  }
+  if (body.has(key)) return false;
+  fallback(out);
+  return true;
+}
+
 /// Deterministic synthetic speech frame: a splitmix-style stream keyed
 /// by the job seed, so identical requests produce identical jobs (the
 /// loadgen relies on this for cheap request bodies).
-std::vector<double> synth_frame(std::uint64_t seed, std::size_t n) {
-  std::vector<double> frame(n);
+void synth_frame(std::uint64_t seed, std::size_t n, std::vector<double>& frame) {
+  frame.resize(n);
   std::uint64_t x = seed * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull;
   for (std::size_t i = 0; i < n; ++i) {
     x = x * 6364136223846793005ull + 1442695040888963407ull;
     frame[i] = static_cast<double>((x >> 33) % 2000) / 1000.0 - 1.0;
   }
-  return frame;
 }
 
-std::vector<double> synth_coeffs(std::size_t order) {
-  std::vector<double> coeffs(order);
+void synth_coeffs(std::size_t order, std::vector<double>& coeffs) {
+  coeffs.resize(order);
   for (std::size_t j = 0; j < order; ++j) coeffs[j] = 0.5 / static_cast<double>(j + 1);
-  return coeffs;
 }
 
-void append_doubles(std::string& out, std::span<const double> values) {
-  // A double takes at most 24 characters and a comma: one allocation,
-  // with room left for the closing members.
-  out.reserve(out.size() + 25 * values.size() + 32);
-  out += '[';
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ',';
-    append_double(out, values[i]);
-  }
-  out += ']';
+/// Appends an integer as std::to_string spells it, without the temporary.
+template <class Int>
+void append_integer(std::string& out, Int value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
 }
 
 using SpeechJob = apps::ErrorGenApp::SpeechJobSpec;
@@ -88,14 +86,16 @@ class ServedSpeech final : public ServedModelOf<apps::ErrorGenApp, SpeechJob> {
   using ServedModelOf::ServedModelOf;
 
  private:
-  std::variant<Spec, std::string> parse(std::string_view body) const override {
+  std::optional<std::string> parse(const JobBody& body, Spec& spec) const override {
     const apps::SpeechParams& params = app_->params();
-    Spec spec;
-    if (auto frame = json_array_field(body, "frame"); frame || json_has_field(body, "frame")) {
+    SpeechJob& job = spec.job;
+    if (const auto frame = body.array("frame"); frame || body.has("frame")) {
       if (!frame) return bad_array("frame");
-      auto coeffs = array_field(body, "coeffs", [&] { return synth_coeffs(params.order); });
-      if (!coeffs) return bad_array("coeffs");
-      spec = {{std::move(*frame), std::move(*coeffs)}, true};
+      job.frame.assign(frame->begin(), frame->end());
+      if (!array_field(body, "coeffs", job.coeffs,
+                       [&](std::vector<double>& out) { synth_coeffs(params.order, out); }))
+        return bad_array("coeffs");
+      spec.explicit_io = true;
     } else {
       const auto n =
           integer_field(body, "frame_size", params.frame_size, 1, params.max_frame_size);
@@ -103,30 +103,38 @@ class ServedSpeech final : public ServedModelOf<apps::ErrorGenApp, SpeechJob> {
       if (!n || !order) return "speech job exceeds the model bounds";
       const auto seed = integer_field(body, "seed", 0, 0, kMaxSeed);
       if (!seed) return kBadSeed;
-      spec.job = {synth_frame(*seed, *n), synth_coeffs(*order)};
+      synth_frame(*seed, *n, job.frame);
+      synth_coeffs(*order, job.coeffs);
     }
-    if (spec.job.frame.empty() || spec.job.frame.size() > params.max_frame_size ||
-        spec.job.coeffs.empty() || spec.job.coeffs.size() > params.max_order)
+    if (job.frame.empty() || job.frame.size() > params.max_frame_size || job.coeffs.empty() ||
+        job.coeffs.size() > params.max_order)
       return "speech job exceeds the model bounds";
-    return spec;
+    return std::nullopt;
   }
 
-  std::vector<std::string> run_batch(std::span<const SpeechJob> jobs,
-                                     const std::vector<bool>& explicit_io) override {
-    const auto results = app_->compute_errors_batch(jobs, instance, &run_options);
-    std::vector<std::string> bodies(jobs.size(), "{\"app\": \"speech\", ");
+  void run_batch(std::span<const SpeechJob> jobs, const std::vector<bool>& explicit_io,
+                 std::span<std::string* const> bodies) override {
+    app_->compute_errors_batch(jobs, instance, results_, &run_options);
     for (std::size_t k = 0; k < jobs.size(); ++k) {
+      std::string& body = *bodies[k];
+      const std::vector<double>& errors = results_[k];
+      // A double takes at most 24 characters and a comma: one allocation.
+      body.reserve(body.size() + 25 * errors.size() + 96);
+      body += "{\"app\": \"speech\", ";
       if (explicit_io[k]) {
-        bodies[k] += "\"errors\": ";
-        append_doubles(bodies[k], results[k]);
+        body += "\"errors\": ";
+        append_doubles(body, errors);
       } else {
-        bodies[k] += "\"n\": " + std::to_string(results[k].size()) + ", \"checksum\": ";
-        append_double(bodies[k], std::accumulate(results[k].begin(), results[k].end(), 0.0));
+        body += "\"n\": ";
+        append_integer(body, errors.size());
+        body += ", \"checksum\": ";
+        append_double(body, std::accumulate(errors.begin(), errors.end(), 0.0));
       }
-      bodies[k] += "}\n";
+      body += "}\n";
     }
-    return bodies;
   }
+
+  std::vector<std::vector<double>> results_;  ///< reused batch after batch
 };
 
 using ParticleJob = apps::ParticleFilterApp::ParticleJobSpec;
@@ -136,23 +144,22 @@ class ServedParticle final : public ServedModelOf<apps::ParticleFilterApp, Parti
   using ServedModelOf::ServedModelOf;
 
  private:
-  std::variant<Spec, std::string> parse(std::string_view body) const override {
+  std::optional<std::string> parse(const JobBody& body, Spec& spec) const override {
     const apps::ParticleParams& params = app_->params();
     const auto seed = integer_field(body, "seed", params.seed, 0, kMaxSeed);
     if (!seed) return kBadSeed;
-    Spec spec{.job = {.trajectory = {}, .seed = *seed}};
+    spec.job.seed = *seed;
     dsp::CrackTrajectory& trajectory = spec.job.trajectory;
-    if (auto observations = json_array_field(body, "observations");
-        observations || json_has_field(body, "observations")) {
+    if (const auto observations = body.array("observations");
+        observations || body.has("observations")) {
       if (!observations) return bad_array("observations");
-      trajectory.observations = std::move(*observations);
+      trajectory.observations.assign(observations->begin(), observations->end());
       if (trajectory.observations.empty()) return "particle job has no observations";
       if (trajectory.observations.size() > kMaxSteps) return "particle job steps out of range";
-      auto truth = array_field(body, "truth", [&] {
-        return std::vector<double>(trajectory.observations.size(), 0.0);
-      });
-      if (!truth) return bad_array("truth");
-      trajectory.truth = std::move(*truth);
+      if (!array_field(body, "truth", trajectory.truth, [&](std::vector<double>& out) {
+            out.assign(trajectory.observations.size(), 0.0);
+          }))
+        return bad_array("truth");
       // Rejected here, not in the batch: the RMSE would throw there and
       // fail every job batched with this one.
       if (trajectory.truth.size() != trajectory.observations.size())
@@ -164,7 +171,7 @@ class ServedParticle final : public ServedModelOf<apps::ParticleFilterApp, Parti
       dsp::Rng rng(spec.job.seed + 1);
       trajectory = dsp::simulate_crack(params.model, *steps, rng);
     }
-    return spec;
+    return std::nullopt;
   }
 
   /// A batch must share one trajectory length: a different length is a
@@ -173,30 +180,33 @@ class ServedParticle final : public ServedModelOf<apps::ParticleFilterApp, Parti
     return static_cast<std::int64_t>(job.trajectory.observations.size());
   }
 
-  std::vector<std::string> run_batch(std::span<const ParticleJob> jobs,
-                                     const std::vector<bool>& explicit_io) override {
+  void run_batch(std::span<const ParticleJob> jobs, const std::vector<bool>& explicit_io,
+                 std::span<std::string* const> bodies) override {
     const auto results = app_->track_batch(jobs, instance, &run_options);
-    std::vector<std::string> bodies(jobs.size(), "{\"app\": \"particle\", ");
     for (std::size_t k = 0; k < jobs.size(); ++k) {
       const apps::TrackResult& r = results[k];
-      std::string& body = bodies[k];
+      std::string& body = *bodies[k];
+      body.reserve(body.size() + 25 * r.estimates.size() + 160);
+      body += "{\"app\": \"particle\", ";
       if (explicit_io[k]) {
         body += "\"estimates\": ";
         append_doubles(body, r.estimates);
         body += ", \"rmse\": ";
         append_double(body, r.rmse_vs_truth);
-        body += ", \"resample_steps\": " + std::to_string(r.resample_steps);
-        body += ", \"particles_exchanged\": " + std::to_string(r.particles_exchanged);
+        body += ", \"resample_steps\": ";
+        append_integer(body, r.resample_steps);
+        body += ", \"particles_exchanged\": ";
+        append_integer(body, r.particles_exchanged);
       } else {
-        body += "\"steps\": " + std::to_string(jobs[k].trajectory.observations.size()) +
-                ", \"estimate\": ";
+        body += "\"steps\": ";
+        append_integer(body, jobs[k].trajectory.observations.size());
+        body += ", \"estimate\": ";
         append_double(body, r.estimates.empty() ? 0.0 : r.estimates.back());
         body += ", \"rmse\": ";
         append_double(body, r.rmse_vs_truth);
       }
       body += "}\n";
     }
-    return bodies;
   }
 };
 

@@ -4,22 +4,25 @@
 /// A ServedModel owns one app, the persistent JobInstance that executes
 /// every batch of it, that instance's flight recorder and run options.
 /// The server's drain treats every model alike: it stages each admitted
-/// job under the batch key its model names, then fires each staged key
-/// as ONE batched colocated run. A model supplies only the app-specific
-/// steps — parse a body, name its batch key, run one batch — through
-/// ServedModelOf<App, Job>.
+/// job (its body already read into a JobBody) under the batch key its
+/// model names, then fires each staged key as ONE batched colocated run,
+/// rendering the replies straight into the responses. A model supplies
+/// only the app-specific steps — parse a job, name its batch key, run
+/// one batch — through ServedModelOf<App, Job>.
 #pragma once
 
-#include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include "core/job_instance.hpp"
 #include "obs/flight_recorder.hpp"
+#include "serve/job_body.hpp"
 
 namespace spi::serve {
 
@@ -33,11 +36,12 @@ class ServedModel {
 
   /// Parses one job body and stages the job under its batch key, which
   /// is returned; a string is the 400 message for a bad job.
-  virtual std::variant<std::int64_t, std::string> stage(std::string_view body) = 0;
-  /// Runs every job staged under `key` as one batch and unstages them.
-  /// Returns one 200 body per job, in staging order; throws when the
-  /// batch fails (the server answers every job of it 500).
-  virtual std::vector<std::string> fire(std::int64_t key) = 0;
+  virtual std::variant<std::int64_t, std::string> stage(const JobBody& body) = 0;
+  /// Runs every job staged under `key` as one batch and unstages them,
+  /// appending each job's 200 body to *bodies[i], in staging order;
+  /// throws when the batch fails (the server answers every job of it
+  /// 500).
+  virtual void fire(std::int64_t key, std::span<std::string* const> bodies) = 0;
 
   const std::string app;  ///< the job body's "app" value
   obs::FlightRecorder flight;
@@ -55,6 +59,9 @@ class ServedModel {
 
 /// The typed half: stages the parsed jobs per batch key, so a model
 /// only writes parse / batch_key / run_batch over its app's Job type.
+/// Staged jobs and their batches are kept for reuse: a job is parsed
+/// into storage a past job left behind, so steady traffic stages without
+/// touching the heap.
 template <class App, class Job>
 class ServedModelOf : public ServedModel {
  public:
@@ -65,21 +72,28 @@ class ServedModelOf : public ServedModel {
     bool explicit_io = false;
   };
 
-  std::variant<std::int64_t, std::string> stage(std::string_view body) final {
-    auto parsed = parse(body);
-    if (auto* error = std::get_if<std::string>(&parsed)) return std::move(*error);
-    Spec& spec = std::get<Spec>(parsed);
-    const std::int64_t key = batch_key(spec.job);
-    Batch& batch = staged_[key];
-    batch.jobs.push_back(std::move(spec.job));
-    batch.explicit_io.push_back(spec.explicit_io);
+  std::variant<std::int64_t, std::string> stage(const JobBody& body) final {
+    parsing_.explicit_io = false;
+    if (auto error = parse(body, parsing_)) return std::move(*error);
+    const std::int64_t key = batch_key(parsing_.job);
+    Batch& batch = batch_for(key);
+    if (batch.size == batch.jobs.size()) {
+      batch.jobs.emplace_back();
+      batch.explicit_io.push_back(false);
+    }
+    std::swap(batch.jobs[batch.size], parsing_.job);
+    batch.explicit_io[batch.size] = parsing_.explicit_io;
+    ++batch.size;
     return key;
   }
 
-  std::vector<std::string> fire(std::int64_t key) final {
-    auto node = staged_.extract(key);
-    if (!node) return {};
-    return run_batch(node.mapped().jobs, node.mapped().explicit_io);
+  void fire(std::int64_t key, std::span<std::string* const> bodies) final {
+    for (Batch& batch : batches_) {
+      if (batch.key != key || batch.size == 0) continue;
+      const std::size_t size = std::exchange(batch.size, 0);
+      run_batch({batch.jobs.data(), size}, batch.explicit_io, bodies);
+      return;
+    }
   }
 
   /// `app` must live on the heap: the instance keeps a reference to its
@@ -88,19 +102,40 @@ class ServedModelOf : public ServedModel {
       : ServedModel(std::move(app_name), app->system().plan(), metrics), app_(std::move(app)) {}
 
  protected:
-  [[nodiscard]] virtual std::variant<Spec, std::string> parse(std::string_view body) const = 0;
+  /// Parses `body` into `spec` (whose storage a past job may have left);
+  /// returns the 400 message for a bad job.
+  [[nodiscard]] virtual std::optional<std::string> parse(const JobBody& body, Spec& spec) const = 0;
   [[nodiscard]] virtual std::int64_t batch_key(const Job& /*job*/) const { return 0; }
-  [[nodiscard]] virtual std::vector<std::string> run_batch(
-      std::span<const Job> jobs, const std::vector<bool>& explicit_io) = 0;
+  /// Runs the batch and appends one 200 body per job; explicit_io[k]
+  /// holds job k's flag.
+  virtual void run_batch(std::span<const Job> jobs, const std::vector<bool>& explicit_io,
+                         std::span<std::string* const> bodies) = 0;
 
   std::unique_ptr<App> app_;
 
  private:
   struct Batch {
+    std::int64_t key = 0;
+    std::size_t size = 0;  ///< staged jobs: the first `size` of jobs
     std::vector<Job> jobs;
     std::vector<bool> explicit_io;
   };
-  std::map<std::int64_t, Batch> staged_;
+
+  /// The batch staging `key`: the one already holding it, else an empty
+  /// one (a drained batch keeps its storage), else a new one.
+  Batch& batch_for(std::int64_t key) {
+    Batch* empty = nullptr;
+    for (Batch& batch : batches_) {
+      if (batch.size != 0 && batch.key == key) return batch;
+      if (batch.size == 0 && (empty == nullptr || batch.key == key)) empty = &batch;
+    }
+    if (empty == nullptr) empty = &batches_.emplace_back();
+    empty->key = key;
+    return *empty;
+  }
+
+  Spec parsing_;  ///< the job being parsed; swapped into its batch
+  std::vector<Batch> batches_;
 };
 
 /// The built-in models, in the order /runtime lists them: "speech"

@@ -16,7 +16,6 @@ QueuedJob job(std::size_t index) {
   QueuedJob j;
   j.request_index = index;
   j.model = 0;
-  j.body = "{}";
   j.span_id = index + 1;
   j.ingest_ns = 100;
   j.enqueued_ns = 200 + static_cast<std::int64_t>(index);

@@ -6,7 +6,10 @@
 /// fuzz runs in the unit tier, so the sanitizer CI legs run it too.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -16,6 +19,7 @@
 #include "dsp/rng.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
+#include "to_chars_oracle.hpp"
 
 namespace spi::obs {
 namespace {
@@ -126,6 +130,65 @@ TEST(Json, EscapedStringsReadBackByteForByte) {
   EXPECT_TRUE(valid(doc)) << json::validate(doc);
   EXPECT_EQ(json::parse(doc).as_string(), all);
   EXPECT_EQ(json::escaped("a\"b\\c\n\x01"), "a\\\"b\\\\c\\n\\u0001");
+}
+
+TEST(Json, AppendDoubleMatchesToChars) {
+  // append_double's own shortest round-trip writer against the named
+  // oracle, std::to_chars: the edge corpus, then 10^6 seeded bit patterns
+  // (every exponent, subnormals, NaN payloads). The integration tier runs
+  // 10^7 more.
+  for (const double v : testing::edge_doubles())
+    if (!testing::matches_to_chars(v)) break;
+  EXPECT_EQ(testing::random_pattern_misses(1, 1'000'000), 0);
+  // append_doubles writes the same numbers as an array.
+  const std::vector<double> some = {0.1, -0.0, 1e21, std::numeric_limits<double>::infinity(),
+                                    -2.2250738585072014e-308, 123456789.0};
+  std::string array = "x";
+  json::append_doubles(array, some);
+  std::string expected = "x[";
+  for (std::size_t i = 0; i < some.size(); ++i) {
+    if (i != 0) expected += ',';
+    json::append_double(expected, some[i]);
+  }
+  EXPECT_EQ(array, expected + "]");
+  std::string empty;
+  json::append_doubles(empty, {});
+  EXPECT_EQ(empty, "[]");
+  // The common shapes, spelled out.
+  for (const auto& [v, text] : std::vector<std::pair<double, std::string>>{
+           {0.1, "0.1"}, {-0.0, "-0"}, {1e21, "1e+21"}, {1e-7, "1e-07"}, {123456789.0, "123456789"},
+           {0.001, "0.001"}, {1e-4, "1e-04"}, {5e-324, "5e-324"}}) {
+    std::string out;
+    json::append_double(out, v);
+    EXPECT_EQ(out, text);
+  }
+}
+
+TEST(Json, NumberReadsMatchFromChars) {
+  // Reader::number() and read_double take an exact shortcut for short
+  // decimals; every read must still be the double std::from_chars gives.
+  dsp::Rng rng(5);
+  for (int i = 0; i < 200000; ++i) {
+    std::string text = rng.uniform_int(0, 1) ? "-" : "";
+    const auto whole = rng.uniform_int(0, 12);
+    text += std::to_string(rng.uniform_int(whole == 0 ? 0 : 1, 9));
+    for (std::int64_t d = 1; d < whole; ++d) text += std::to_string(rng.uniform_int(0, 9));
+    if (rng.uniform_int(0, 3) != 0) {
+      text += '.';
+      for (std::int64_t d = rng.uniform_int(1, 25); d > 0; --d)
+        text += std::to_string(rng.uniform_int(0, 9));
+    }
+    if (rng.uniform_int(0, 4) == 0) text += "e" + std::to_string(rng.uniform_int(-30, 30));
+    double expected = 0.0;
+    std::from_chars(text.data(), text.data() + text.size(), expected);
+    json::Reader reader(text);
+    const auto read = reader.number();
+    ASSERT_TRUE(read.has_value()) << text;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(*read), std::bit_cast<std::uint64_t>(expected)) << text;
+    std::size_t at = 0;
+    ASSERT_EQ(json::read_double(text, at), read) << text;
+    ASSERT_EQ(at, text.size()) << text;
+  }
 }
 
 // --- FuzzJson ----------------------------------------------------------------

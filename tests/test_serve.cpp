@@ -17,6 +17,7 @@
 #include <bit>
 #include <cfloat>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -29,7 +30,7 @@
 #include "dsp/particle_filter.hpp"
 #include "dsp/rng.hpp"
 #include "obs/json.hpp"
-#include "serve/request.hpp"
+#include "serve/job_body.hpp"
 
 namespace spi::serve {
 namespace {
@@ -62,12 +63,40 @@ TEST(AdmissionController, BudgetsMemoryAndQueueDepth) {
   EXPECT_EQ(admission.rejected_queue(), 1);
 }
 
-/// Builds a burst of POST /job requests from raw JSON bodies.
+/// Builds a burst of POST /job requests from raw JSON bodies. A request
+/// views its body, as it views the connection's input in the server, so
+/// every body is kept for the rest of the test program.
 std::vector<obs::HttpRequest> job_burst(const std::vector<std::string>& bodies) {
+  static std::deque<std::string> kept;
   std::vector<obs::HttpRequest> requests;
   for (const std::string& body : bodies)
-    requests.push_back({"POST", "/job", "HTTP/1.1", body, true});
+    requests.push_back({"POST", "/job", "HTTP/1.1", kept.emplace_back(body), true});
   return requests;
+}
+
+/// Field `key` of `text` read as a /job body: nullopt when the body is
+/// rejected, or the field is absent or not a finite number.
+std::optional<double> number_in(const std::string& text, std::string_view key) {
+  JobBody body;
+  try {
+    body.read(text);
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
+  return body.number(key);
+}
+
+/// As number_in, for an array of finite numbers.
+std::optional<std::vector<double>> array_in(const std::string& text, std::string_view key) {
+  JobBody body;
+  try {
+    body.read(text);
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
+  const auto values = body.array(key);
+  if (!values) return std::nullopt;
+  return std::vector<double>(values->begin(), values->end());
 }
 
 std::string frame_json(std::span<const double> values) {
@@ -131,7 +160,7 @@ TEST(PlanServer, BatchedSpeechFiringBitIdenticalToSingleJobRuns) {
   ASSERT_EQ(responses.size(), kJobs);
   for (std::size_t j = 0; j < kJobs; ++j) {
     ASSERT_EQ(responses[j].status, 200) << responses[j].body;
-    const auto errors = json_array_field(responses[j].body, "errors");
+    const auto errors = array_in(responses[j].body, "errors");
     ASSERT_TRUE(errors.has_value()) << responses[j].body;
     // The shortest round-trip serialization reads back exactly, so
     // equality here is bit-identity of the computed errors.
@@ -166,13 +195,13 @@ TEST(PlanServer, BatchedParticleFiringBitIdenticalToSingleJobRuns) {
   const dsp::CrackTrajectory* trajs[] = {&traj_a, &traj_b, &traj_c};
   for (std::size_t j = 0; j < 3; ++j) {
     ASSERT_EQ(responses[j].status, 200) << responses[j].body;
-    const auto estimates = json_array_field(responses[j].body, "estimates");
+    const auto estimates = array_in(responses[j].body, "estimates");
     ASSERT_TRUE(estimates.has_value()) << responses[j].body;
     // Seed 42 is the reference app's own seed: track() must reproduce
     // the batched result bit for bit.
     const apps::TrackResult reference = reference_app.track(*trajs[j]);
     EXPECT_EQ(*estimates, reference.estimates) << "batched job " << j;
-    const auto resamples = json_number_field(responses[j].body, "resample_steps");
+    const auto resamples = number_in(responses[j].body, "resample_steps");
     ASSERT_TRUE(resamples.has_value());
     EXPECT_EQ(static_cast<std::int64_t>(*resamples), reference.resample_steps);
   }
@@ -329,20 +358,68 @@ TEST(PlanServer, JobKeysAreMatchedAtTopLevelOnly) {
   EXPECT_EQ(runtime.find("\"a\\"), std::string::npos) << "no truncated tenant: " << runtime;
 }
 
+/// The answer to one /job body, alone in its burst.
+obs::HttpResponse answer_to(const std::string& body) {
+  PlanServer server;
+  std::vector<obs::HttpRequest> requests = job_burst({body});
+  std::vector<obs::HttpResponse> responses;
+  server.handle_burst(requests, responses);
+  EXPECT_EQ(responses.size(), 1u);
+  EXPECT_EQ(server.jobs_served(), 0) << body;
+  return responses.empty() ? obs::HttpResponse{} : responses[0];
+}
+
+// A /job body must be one JSON object: the whole text is read, so no
+// default is filled in for a body that is not JSON.
+TEST(PlanServer, TruncatedJobBodyAnswers400WithTheJsonOffset) {
+  const obs::HttpResponse response = answer_to(R"({"app":"speech")");
+  EXPECT_EQ(response.status, 400) << response.body;
+  EXPECT_NE(response.body.find("JSON offset 15: expected ',' or '}' in object"), std::string::npos)
+      << response.body;
+}
+
+TEST(PlanServer, TrailingGarbageAfterTheJobAnswers400) {
+  const obs::HttpResponse response = answer_to(R"({"app":"speech","frame_size":8}garbage)");
+  EXPECT_EQ(response.status, 400) << response.body;
+  EXPECT_NE(response.body.find("JSON offset 31: trailing content after JSON value"),
+            std::string::npos)
+      << response.body;
+}
+
+TEST(PlanServer, DuplicateTopLevelKeyAnswers400) {
+  const obs::HttpResponse response =
+      answer_to(R"({"app":"speech","frame_size":8,"app":"speech"})");
+  EXPECT_EQ(response.status, 400) << response.body;
+  EXPECT_NE(response.body.find("JSON offset 31: duplicate key \\\"app\\\""), std::string::npos)
+      << response.body;
+}
+
+TEST(PlanServer, NonObjectJobBodyAnswers400) {
+  for (const std::string body : {R"(["app","speech"])", R"("{\"app\":\"speech\"}")", "8", ""}) {
+    const obs::HttpResponse response = answer_to(body);
+    EXPECT_EQ(response.status, 400) << body << " -> " << response.body;
+    EXPECT_NE(response.body.find("JSON offset 0: "), std::string::npos)
+        << body << " -> " << response.body;
+  }
+}
+
 TEST(ServeRequest, ScannerSkipsNestedValuesAndStringContents) {
-  const std::string body =
+  const std::string text =
       R"({"outer":{"key":1,"list":[{"key":2}]},"text":"\"key\": 3","key" : 4,"s":"x"})";
-  EXPECT_EQ(json_number_field(body, "key"), 4.0);
-  EXPECT_TRUE(json_has_field(body, "outer"));
-  EXPECT_FALSE(json_has_field(body, "list")) << "nested keys are not top-level";
-  EXPECT_EQ(json_string_field(body, "s"), "x");
-  EXPECT_FALSE(json_string_field(body, "text").has_value()) << "escaped strings are malformed";
-  EXPECT_TRUE(json_has_field(body, "text"));
-  EXPECT_FALSE(json_array_field(body, "outer").has_value());
-  EXPECT_FALSE(json_string_field(R"({"a":"unterminated)", "a").has_value());
-  EXPECT_FALSE(json_has_field(R"({"a":"x","b)", "b")) << "unterminated key";
-  EXPECT_EQ(json_array_field(R"({"v":[1, 2 ,3]})", "v"), (std::vector<double>{1, 2, 3}));
-  EXPECT_FALSE(json_array_field(R"({"v":[1,2)", "v").has_value()) << "unterminated array";
+  JobBody body;
+  body.read(text);
+  EXPECT_EQ(body.number("key"), 4.0);
+  EXPECT_TRUE(body.has("outer"));
+  EXPECT_FALSE(body.has("list")) << "nested keys are not top-level";
+  EXPECT_EQ(body.string("s"), "x");
+  EXPECT_FALSE(body.string("text").has_value()) << "escaped strings are malformed";
+  EXPECT_TRUE(body.has("text"));
+  EXPECT_FALSE(body.array("outer").has_value());
+  // A body that is not one JSON object is rejected whole.
+  EXPECT_THROW(body.read(R"({"a":"unterminated)"), std::invalid_argument);
+  EXPECT_THROW(body.read(R"({"a":"x","b)"), std::invalid_argument) << "unterminated key";
+  EXPECT_EQ(array_in(R"({"v":[1, 2 ,3]})", "v"), (std::vector<double>{1, 2, 3}));
+  EXPECT_FALSE(array_in(R"({"v":[1,2)", "v").has_value()) << "unterminated array";
 }
 
 TEST(PlanServer, MalformedArrayFieldsAnswer400) {
@@ -410,16 +487,14 @@ TEST(ServeRequest, NumbersFollowTheJsonGrammar) {
   for (const char* value : {"+1", "0x10", "1e400", "-1e400", "01", ".5", "5.", "1e", "-",
                             "1.5e+", "nan", "inf", "1_0", "0x"}) {
     const std::string body = std::string(R"({"n":)") + value + "}";
-    EXPECT_FALSE(json_number_field(body, "n").has_value()) << value;
-    EXPECT_FALSE(json_array_field(std::string(R"({"v":[0,)") + value + "]}", "v").has_value())
-        << value;
+    EXPECT_FALSE(number_in(body, "n").has_value()) << value;
+    EXPECT_FALSE(array_in(std::string(R"({"v":[0,)") + value + "]}", "v").has_value()) << value;
   }
   for (const auto& [text, value] : std::vector<std::pair<std::string, double>>{
            {"0", 0.0}, {"-0", -0.0}, {"12", 12.0}, {"-1.5", -1.5}, {"2e3", 2000.0},
            {"2E-3", 0.002}, {"1.25e+2", 125.0}}) {
-    EXPECT_EQ(json_number_field(R"({"n": )" + text + " }", "n"), value) << text;
-    EXPECT_EQ(json_array_field(R"({"v":[ )" + text + " ]}", "v"), std::vector<double>{value})
-        << text;
+    EXPECT_EQ(number_in(R"({"n": )" + text + " }", "n"), value) << text;
+    EXPECT_EQ(array_in(R"({"v":[ )" + text + " ]}", "v"), std::vector<double>{value}) << text;
   }
 
   // The same spellings in /job fields: each a 400, numeric or array.
@@ -464,7 +539,7 @@ TEST(ServeRequest, EdgeDoublesRoundTripBitForBit) {
   }
   body += "]}";
   EXPECT_TRUE(obs::json::validate(body).empty()) << body;
-  const auto parsed = json_array_field(body, "v");
+  const auto parsed = array_in(body, "v");
   ASSERT_TRUE(parsed.has_value()) << body;
   ASSERT_EQ(parsed->size(), edges.size()) << body;
   for (std::size_t i = 0; i < edges.size(); ++i)
@@ -681,6 +756,10 @@ TEST_P(FuzzJob, MutatedBodiesAreServedOrRejectedTypedAndLeaveNoTrace) {
       EXPECT_TRUE(status == 200 || status == 400 || status == 429)
           << status << " for " << bodies[i].substr(0, 200) << " -> " << responses[i].body;
       EXPECT_TRUE(obs::json::validate(responses[i].body).empty()) << responses[i].body;
+      if (status == 200) {
+        EXPECT_TRUE(obs::json::validate(bodies[i]).empty())
+            << "a 200 for a body that is not JSON: " << bodies[i].substr(0, 200);
+      }
       ok += status == 200;
     }
   }
