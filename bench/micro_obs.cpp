@@ -6,12 +6,11 @@
 /// end-to-end overhead of running the threaded pipeline with the
 /// watchdog and telemetry server attached (the acceptance target is
 /// < 2% versus the bare run — run_benchmarks.sh derives the
-/// percentage as heartbeat_overhead_pct), plus the JSON double writer
-/// against std::to_chars (BM_AppendDouble, BM_ToChars).
+/// percentage as heartbeat_overhead_pct), plus the JSON double writer's
+/// cost per number (BM_AppendDouble).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <charconv>
 #include <cmath>
 #include <random>
 #include <span>
@@ -212,7 +211,8 @@ const std::vector<double>& writer_inputs() {
   return values;
 }
 
-/// obs::json::append_double, the JSON writer's shortest round-trip form.
+/// obs::json::append_double: std::to_chars's shortest round-trip form
+/// appended to a string.
 void BM_AppendDouble(benchmark::State& state) {
   std::string out;
   out.reserve(25 * writer_inputs().size());
@@ -224,23 +224,6 @@ void BM_AppendDouble(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(writer_inputs().size()));
 }
 BENCHMARK(BM_AppendDouble);
-
-/// The same bytes through std::to_chars and an append: the writer's
-/// differential oracle.
-void BM_ToChars(benchmark::State& state) {
-  std::string out;
-  out.reserve(25 * writer_inputs().size());
-  for (auto _ : state) {
-    out.clear();
-    for (const double v : writer_inputs()) {
-      char buf[32];
-      out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(writer_inputs().size()));
-}
-BENCHMARK(BM_ToChars);
 
 }  // namespace
 

@@ -305,12 +305,6 @@ struct PeScratch {
   std::vector<double> samples, coeffs, errors;
 };
 
-Bytes to_token(std::span<const double> values) {
-  Bytes token(values.size_bytes());
-  if (!values.empty()) std::memcpy(token.data(), values.data(), values.size_bytes());
-  return token;
-}
-
 }  // namespace
 
 void ErrorGenApp::compute_errors_batch(std::span<const SpeechJobSpec> jobs,
@@ -339,12 +333,12 @@ void ErrorGenApp::compute_errors_batch(std::span<const SpeechJobSpec> jobs,
       const std::span<const double> data(job.frame);
       const auto shipped = data.subspan(sec.begin - sec.history, sec.history + sec.count);
       ctx.outputs[ctx.output_index(b->app.frame_edge_[static_cast<std::size_t>(i)])].push_back(
-          to_token(shipped));
+          pack_f64(shipped));
     });
     instance.set_compute(send_coeff_[idx], [b = &batch, i](core::FiringContext& ctx) {
       const SpeechJobSpec& job = b->jobs[static_cast<std::size_t>(ctx.invocation)];
       ctx.outputs[ctx.output_index(b->app.coeff_edge_[static_cast<std::size_t>(i)])].push_back(
-          to_token(job.coeffs));
+          pack_f64(job.coeffs));
     });
     instance.set_compute(pe_[idx], [b = &batch, i](core::FiringContext& ctx) {
       const auto pe = static_cast<std::size_t>(i);
@@ -355,7 +349,7 @@ void ErrorGenApp::compute_errors_batch(std::span<const SpeechJobSpec> jobs,
       unpack_f64(ctx.inputs[ctx.input_index(b->app.coeff_edge_[pe])][0], scratch.coeffs);
       scratch.errors.resize(sec.count);
       dsp::prediction_error(scratch.samples, scratch.coeffs, sec.history, scratch.errors);
-      ctx.outputs[ctx.output_index(b->app.err_edge_[pe])].push_back(to_token(scratch.errors));
+      ctx.outputs[ctx.output_index(b->app.err_edge_[pe])].push_back(pack_f64(scratch.errors));
     });
     instance.set_compute(recv_err_[idx], [b = &batch, i](core::FiringContext& ctx) {
       const auto job_index = static_cast<std::size_t>(ctx.invocation);

@@ -1,7 +1,5 @@
 #include "obs/json.hpp"
 
-#include <array>
-#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -435,260 +433,27 @@ std::string escaped(std::string_view s) {
   return out;
 }
 
-// The shortest round-trip writer follows Dragonbox (J. Jeon, "The
-// Dragonbox algorithm", 2020), itself a refinement of Schubfach. For v =
-// f·2^e it takes the one power of ten 10^-k that scales the rounding
-// interval's width into [10^2, 10^3), multiplies the interval's upper end
-// by it (one 64x128-bit product with the table's 128-bit 10^-k, rounded
-// up), and reads the answer off the quotient and remainder by 1000: a
-// remainder inside the scaled width means one digit fewer fits; otherwise
-// the nearest value at the finer scale, found with one more division by
-// 100 and, on an exact tie, the parity of one more product. Only the
-// powers of two, whose interval is lopsided, are left to std::to_chars —
-// the differential oracle of the tests — with the integers of 2^53 or
-// more that print in fixed notation, whose spelling need not be the
-// shortest digits padded with zeros.
-
-namespace {
-
-struct Pow10 {
-  std::uint64_t hi, lo;
-};
-
-/// kPow10[m - kPow10Min] = ceil(10^m / 2^(floor(log2(10^m)) - 127)),
-/// exact for 0 <= m <= 55.
-constexpr Pow10 kPow10[] = {
-#include "json_pow10.inc"
-};
-constexpr int kPow10Min = -292;
-
-// Exact over every exponent a double has (tools/gen_json_pow10.py checks).
-constexpr int floor_log10_pow2(int q) { return (q * 1262611) >> 22; }
-constexpr int floor_log2_pow10(int m) { return (m * 1741647) >> 19; }
-
-using Uint128 = unsigned __int128;
-
-struct Product128 {
-  std::uint64_t high, low;
-};
-
-/// The upper 128 bits of the 192-bit product x·g.
-Product128 mul_upper128(std::uint64_t x, const Pow10& g) {
-  const Uint128 high = static_cast<Uint128>(x) * g.hi;
-  const Uint128 sum = high + ((static_cast<Uint128>(x) * g.lo) >> 64);
-  return {static_cast<std::uint64_t>(sum >> 64), static_cast<std::uint64_t>(sum)};
-}
-
-/// The lower 128 bits of the 192-bit product x·g.
-Product128 mul_lower128(std::uint64_t x, const Pow10& g) {
-  const Uint128 low = static_cast<Uint128>(x) * g.lo;
-  const std::uint64_t high = x * g.hi + static_cast<std::uint64_t>(low >> 64);
-  return {high, static_cast<std::uint64_t>(low)};
-}
-
-/// The shortest decimal digits·10^exponent that reads back as the finite
-/// positive double with these bits, nearest to it on a tie of length;
-/// false for the values left to std::to_chars.
-bool shortest_decimal(std::uint64_t bits, std::uint64_t& digits, int& exponent) {
-  const std::uint64_t fraction = bits & ((std::uint64_t{1} << 52) - 1);
-  const int biased = static_cast<int>(bits >> 52);
-  if (fraction == 0 && biased > 1) return false;  // a power of two: the shorter interval
-  const std::uint64_t f = biased == 0 ? fraction : fraction | std::uint64_t{1} << 52;
-  const int e = biased == 0 ? -1074 : biased - 1075;
-  const bool include_ends = (f & 1) == 0;
-
-  // Scale by 10^-minus_k so that the interval's width, delta, lies in
-  // [10^kKappa, 10^(kKappa + 1)); z is the scaled upper end.
-  constexpr int kKappa = 2;
-  const int minus_k = floor_log10_pow2(e) - kKappa;
-  const Pow10& cache = kPow10[-minus_k - kPow10Min];
-  const int beta = e + floor_log2_pow10(-minus_k);
-  const auto delta = static_cast<std::uint32_t>(cache.hi >> (63 - beta));
-  const std::uint64_t two_f = f << 1;
-  const Product128 z = mul_upper128((two_f | 1) << beta, cache);
-  const bool z_integer = z.low == 0;
-
-  // One digit fewer than the scale holds fits when z's remainder by 1000
-  // is inside the width (the ends count when f is even).
-  constexpr std::uint32_t kBig = 1000;
-  constexpr std::uint32_t kSmall = 100;
-  digits = z.high / kBig;
-  auto r = static_cast<std::uint32_t>(z.high - kBig * digits);
-  bool small_case = false;
-  if (r < delta) {
-    if (r == 0 && z_integer && !include_ends) {
-      --digits;
-      r = kBig;
-      small_case = true;
-    }
-  } else if (r > delta) {
-    small_case = true;
-  } else {  // on the lower end: its fraction decides
-    const Product128 x = mul_lower128(two_f - 1, cache);
-    const bool x_parity = ((x.high >> (64 - beta)) & 1) != 0;
-    const bool x_integer = ((x.high << beta) | (x.low >> (64 - beta))) == 0;
-    small_case = !(x_parity || (x_integer && include_ends));
-  }
-  if (!small_case) {
-    exponent = minus_k + kKappa + 1;
-    return true;
-  }
-  // Otherwise the nearest value at the finer scale: v's digits there are
-  // z's less half the width, give or take the one a tie's parity settles.
-  digits *= 10;
-  exponent = minus_k + kKappa;
-  std::uint32_t dist = r - (delta / 2) + (kSmall / 2);
-  const bool approx_y_parity = ((dist ^ (kSmall / 2)) & 1) != 0;
-  dist *= 656;  // ceil(2^16 / 100): dist / 100, and whether it divides
-  const bool divisible = (dist & 0xFFFF) < 656;
-  dist >>= 16;
-  digits += dist;
-  if (divisible) {
-    const Product128 y = mul_lower128(two_f, cache);
-    const bool y_parity = ((y.high >> (64 - beta)) & 1) != 0;
-    const bool y_integer = ((y.high << beta) | (y.low >> (64 - beta))) == 0;
-    if (y_parity != approx_y_parity || ((digits & 1) != 0 && y_integer)) --digits;
-  }
-  return true;
-}
-
-/// kDigitPairs[i] = the two ASCII digits of i, first digit in the low byte.
-constexpr auto kDigitPairs = [] {
-  std::array<std::uint16_t, 100> pairs{};
-  for (int i = 0; i < 100; ++i)
-    pairs[static_cast<std::size_t>(i)] =
-        static_cast<std::uint16_t>(('0' + i / 10) | ('0' + i % 10) << 8);
-  return pairs;
-}();
-
-constexpr auto kPowers = [] {
-  std::array<std::uint64_t, 20> powers{};
-  powers[0] = 1;
-  for (std::size_t i = 1; i < powers.size(); ++i) powers[i] = powers[i - 1] * 10;
-  return powers;
-}();
-
-/// The number of decimal digits of `value` (> 0).
-int decimal_length(std::uint64_t value) {
-  const int t = (std::bit_width(value) * 1233) >> 12;  // ~log10 of the top bit
-  return t + (value >= kPowers[static_cast<std::size_t>(t)] ? 1 : 0);
-}
-
-/// The 8 ASCII digits of `value` (< 10^8), zero-padded, first digit in
-/// the low byte — a little-endian store writes them in order. SWAR: the
-/// halves, then quarters, then digits are split in parallel lanes by
-/// multiply-shift division (exact for lanes below 10^4, 10^2).
-std::uint64_t ascii8(std::uint32_t value) {
-  const std::uint64_t halves = (value / 10000) | (std::uint64_t{value % 10000} << 32);
-  const std::uint64_t tops = ((halves * 10486) >> 20) & 0x0000007F'0000007FULL;  // lane / 100
-  const std::uint64_t quarters = ((halves - 100 * tops) << 16) + tops;
-  const std::uint64_t tens = ((quarters * 103) >> 10) & 0x000F000F'000F000FULL;  // lane / 10
-  return tens + ((quarters - 10 * tens) << 8) + 0x30303030'30303030ULL;
-}
-
-void store8(char* p, std::uint64_t word) {
-  if constexpr (std::endian::native != std::endian::little) word = __builtin_bswap64(word);
-  std::memcpy(p, &word, 8);
-}
-
-/// Writes the n decimal digits of `value` (< 10^17) at p with 8-byte
-/// stores (so up to 8 bytes past them get scratch); returns the end.
-char* write_digits(char* p, std::uint64_t value, int n) {
-  const std::uint64_t low = ascii8(static_cast<std::uint32_t>(value % 100000000));
-  if (n <= 8) {
-    store8(p, low >> (8 * (8 - n)));
-    return p + n;
-  }
-  // The leading n - 8 digits: a 17th digit on its own, then the next 8
-  // less their padding zeros — without a branch on n.
-  const std::uint64_t high = value / 100000000;
-  const int top = n == 17 ? 1 : 0;
-  *p = static_cast<char>('0' + high / 100000000);
-  store8(p + top, ascii8(static_cast<std::uint32_t>(high % 100000000)) >> (8 * (16 - n + top)));
-  store8(p + n - 8, low);
-  return p + n;
-}
-
-/// Writes v (finite) as std::to_chars does — the shortest round-trip
-/// digits in fixed or scientific notation, whichever is shorter, fixed on
-/// a tie — at p, which must have 48 bytes of room; returns the end.
-char* write_shortest(char* p, double v) {
-  const auto bits = std::bit_cast<std::uint64_t>(v);
-  const std::uint64_t magnitude = bits & ~(std::uint64_t{1} << 63);
-  std::uint64_t digits = 0;
-  int e = 0;
-  if (magnitude != 0 && !shortest_decimal(magnitude, digits, e))
-    return std::to_chars(p, p + 48, v).ptr;
-  *p = '-';
-  p += bits >> 63;
-  if (magnitude == 0) {
-    *p = '0';
-    return p + 1;
-  }
-  while (digits % 10 == 0) {
-    digits /= 10;
-    ++e;
-  }
-  const int n = decimal_length(digits);
-  const bool fixed = n == 1 ? e >= -3 && e <= 4 : e >= -(n + 3) && e <= 5;
-  if (fixed && e > 0 && (magnitude >> 52) > 1075)  // an integer of 2^53 or more
-    return std::to_chars(p - (bits >> 63), p + 48, v).ptr;
-  // The digits go right at p, or after "0." and up to 3 zeros; a point
-  // inside them (ddd.dd, d.ddd) moves the digits after it one byte on.
-  const bool leading_zero = fixed && n + e <= 0;
-  char* const at = leading_zero ? p + 2 - n - e : p;
-  std::memcpy(p, "0.000000", 8);
-  char* end = write_digits(at, digits, n);
-  if (fixed && e >= 0) {
-    std::memcpy(end, "00000000", 8);
-    return end + e;
-  }
-  if (!leading_zero) {
-    const int whole = fixed ? n + e : 1;  // digits before the point
-    char after[16];  // n - whole <= 16: one fixed-size move, not a loop
-    std::memcpy(after, p + whole, sizeof after);
-    std::memcpy(p + whole + 1, after, sizeof after);
-    p[whole] = '.';
-    end = n == 1 ? p + 1 : end + 1;  // no point in "de+XX"
-  }
-  if (fixed) return end;
-  int x = e + n - 1;
-  *end++ = 'e';
-  *end++ = x < 0 ? '-' : '+';
-  if (x < 0) x = -x;
-  if (x >= 100) {
-    *end++ = static_cast<char>('0' + x / 100);
-    x %= 100;
-  }
-  std::memcpy(end, &kDigitPairs[static_cast<std::size_t>(x)], 2);
-  return end + 2;
-}
-
-}  // namespace
-
 void append_double(std::string& out, double v) {
   if (!std::isfinite(v)) {
     out += "null";
     return;
   }
-  // Written in place: a copy out of a scratch buffer would reload bytes
-  // still in flight in the store buffer.
-  const std::size_t size = out.size();
-  out.resize(size + 48);
-  out.resize(static_cast<std::size_t>(write_shortest(out.data() + size, v) - out.data()));
+  char buf[32];  // the longest shortest form, "-2.2250738585072014e-308", is 24
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 void append_doubles(std::string& out, std::span<const double> values) {
-  // One resize for the whole array: 24 bytes a number at most, a comma,
-  // and the 48 bytes of room write_shortest needs at the last one.
+  // One resize for the whole array: 24 bytes a number at most, a comma
+  // each, and the brackets.
   const std::size_t size = out.size();
-  out.resize(size + 25 * values.size() + 50);
+  out.resize(size + 25 * values.size() + 2);
   char* p = out.data() + size;
+  char* const end = out.data() + out.size();
   *p++ = '[';
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i != 0) *p++ = ',';
     if (std::isfinite(values[i])) {
-      p = write_shortest(p, values[i]);
+      p = std::to_chars(p, end, values[i]).ptr;
     } else {
       std::memcpy(p, "null", 4);
       p += 4;

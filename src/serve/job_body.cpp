@@ -1,6 +1,7 @@
 #include "serve/job_body.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace spi::serve {
 
@@ -15,6 +16,9 @@ void JobBody::read(std::string_view text) {
     Member member;
     const std::size_t before_key = reader.offset();
     if (!reader.next_member(member.key)) break;
+    if (members_.size() == kMaxMembers)
+      obs::json::fail_at(text.find('"', before_key),
+                         "a job has at most " + std::to_string(kMaxMembers) + " members");
     if (find(member.key) != nullptr)
       obs::json::fail_at(text.find('"', before_key),
                          "duplicate key \"" + obs::json::escaped(member.key) + "\"");

@@ -28,11 +28,17 @@ namespace spi::serve {
 
 class JobBody {
  public:
+  /// Top-level members a body may have. A job reads at most eight
+  /// fields, so the cap costs nothing, and it keeps the duplicate-key
+  /// check (a scan of the members read so far) to a bounded cost.
+  static constexpr std::size_t kMaxMembers = 64;
+
   /// Reads `text`, replacing what the last read held; views stay valid
   /// while `text` does. Throws std::invalid_argument with the Reader's
   /// "JSON offset N: ..." message when `text` is not one JSON object with
-  /// distinct keys; an error inside a member's value is prefixed with the
-  /// member, as in `job "frame": JSON offset 31: expected a value`.
+  /// distinct keys or has more than kMaxMembers members; an error inside
+  /// a member's value is prefixed with the member, as in
+  /// `job "frame": JSON offset 31: expected a value`.
   void read(std::string_view text);
 
   /// Whether the object has the key, whatever its value.

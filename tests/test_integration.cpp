@@ -9,7 +9,6 @@
 #include "core/job_instance.hpp"
 #include "dsp/lpc.hpp"
 #include "mpi/mpi_backend.hpp"
-#include "to_chars_oracle.hpp"
 
 namespace spi {
 namespace {
@@ -193,13 +192,6 @@ TEST(Integration, ResyncNeverSlowsTheSystem) {
         << "seed " << seed;
     EXPECT_LE(stats_with.sync_messages, stats_without.sync_messages) << "seed " << seed;
   }
-}
-
-TEST(Json, AppendDoubleMatchesToCharsOnTenMillionPatterns) {
-  // The integration-tier run of the writer's differential test: 10^7
-  // more seeded bit patterns against std::to_chars (the unit tier runs
-  // the edge corpus and 10^6).
-  EXPECT_EQ(testing::random_pattern_misses(2, 10'000'000), 0);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 
 #include <bit>
 #include <cfloat>
+#include <chrono>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -401,6 +402,42 @@ TEST(PlanServer, NonObjectJobBodyAnswers400) {
     EXPECT_NE(response.body.find("JSON offset 0: "), std::string::npos)
         << body << " -> " << response.body;
   }
+}
+
+/// `{"app":"speech","frame_size":8` followed by `filler` distinct keys.
+std::string job_with_filler_keys(std::size_t filler) {
+  std::string body = R"({"app":"speech","frame_size":8)";
+  for (std::size_t i = 0; i < filler; ++i) body += ",\"k" + std::to_string(i) + "\":0";
+  return body + "}";
+}
+
+TEST(PlanServer, JobBodyMemberCountIsCapped) {
+  {
+    PlanServer server;
+    std::vector<obs::HttpRequest> requests =
+        job_burst({job_with_filler_keys(JobBody::kMaxMembers - 2)});
+    std::vector<obs::HttpResponse> responses;
+    server.handle_burst(requests, responses);
+    ASSERT_EQ(responses.size(), 1u);
+    EXPECT_EQ(responses[0].status, 200) << responses[0].body;
+  }
+  const obs::HttpResponse response =
+      answer_to(job_with_filler_keys(JobBody::kMaxMembers - 1));
+  EXPECT_EQ(response.status, 400) << response.body;
+  EXPECT_NE(response.body.find("a job has at most 64 members"), std::string::npos)
+      << response.body;
+}
+
+// A body of many distinct keys is refused after the cap, not after a
+// duplicate-key scan quadratic in its size: 200k keys would take the
+// single server thread tens of seconds to compare pairwise.
+TEST(PlanServer, JobBodyWithManyKeysAnswers400Quickly) {
+  const std::string body = job_with_filler_keys(200'000);
+  const auto start = std::chrono::steady_clock::now();
+  const obs::HttpResponse response = answer_to(body);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(response.status, 400) << response.body;
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
 }
 
 TEST(ServeRequest, ScannerSkipsNestedValuesAndStringContents) {
